@@ -22,6 +22,11 @@ Injector::Injector(const FaultConfig& cfg, Stats* stats)
   }
 }
 
+Injector& Injector::disabled() {
+  static Injector off(FaultConfig{}, nullptr);
+  return off;
+}
+
 Duration Injector::perturb_transfer(TimePoint at, u64 bytes,
                                     double mib_per_sec) {
   (void)at;

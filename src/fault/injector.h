@@ -15,8 +15,10 @@
 //
 // The injector also collects fault-domain observability: per-round latency
 // samples (for p99 under faults) and the fault.injected.* counters. With a
-// trivial config enabled() is false and no layer consults the injector at
-// all, keeping zero-fault runs byte-identical to seed.
+// trivial config enabled() is false and every hook answers "no fault"
+// without drawing from the rng, keeping zero-fault runs byte-identical to
+// seed. Layers built without an injector hold the process-wide disabled()
+// one, so no call site ever tests for a missing injector.
 #pragma once
 
 #include <functional>
@@ -36,6 +38,13 @@ namespace pvfsib::fault {
 class Injector {
  public:
   Injector(const FaultConfig& cfg, Stats* stats);
+
+  // The shared injector with a trivial config: it never fires.
+  static Injector& disabled();
+  // `faults` itself, or disabled() when it is null.
+  static Injector* or_disabled(Injector* faults) {
+    return faults != nullptr ? faults : &disabled();
+  }
 
   bool enabled() const { return enabled_; }
   const FaultConfig& config() const { return cfg_; }
@@ -117,7 +126,7 @@ class Injector {
 
   // Schedule `hook(iod, at)` on the engine for every scheduled kBitFlip
   // event: the iod then flips stored bytes chosen via draw(). Cluster
-  // installs these whenever the fault plane is enabled; a schedule with no
+  // always installs these; a disabled injector or a schedule with no
   // kBitFlip entries schedules nothing.
   using CorruptionHook = std::function<void(u32 iod, TimePoint at)>;
   void install_corruption_hooks(sim::Engine& engine, CorruptionHook hook);
@@ -131,9 +140,12 @@ class Injector {
   void install_restart_hooks(sim::Engine& engine, RestartHook hook);
 
   // --- Observability --------------------------------------------------------
-  // The client records every recovered/settled round's issue-to-settle
-  // latency here; benches derive tail percentiles from the samples.
-  void note_round_latency(Duration d) { round_latencies_.push_back(d); }
+  // The client records every settled round's issue-to-settle latency here
+  // (kept only while enabled); benches derive tail percentiles from the
+  // samples.
+  void note_round_latency(Duration d) {
+    if (enabled_) round_latencies_.push_back(d);
+  }
   const std::vector<Duration>& round_latencies() const {
     return round_latencies_;
   }

@@ -85,7 +85,7 @@ class Fabric {
   }
 
   const NetParams& params() const { return params_; }
-  fault::Injector* injector() { return faults_; }
+  fault::Injector& injector() { return *faults_; }
 
  private:
   enum class Op { kWrite, kRead };

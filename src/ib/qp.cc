@@ -45,8 +45,7 @@ QueuePair::SendResult QueuePair::post_send(u64 wr_id,
 
   u64 total = 0;
   for (const Sge& s : sges) total += s.length;
-  fault::Injector* inj = fabric_.injector();
-  if (inj != nullptr && inj->enabled() && inj->rnr()) {
+  if (fabric_.injector().rnr()) {
     // Forced receiver-not-ready: the peer's receive stays posted (the
     // NAK fired before any buffer was consumed) and the sender retries.
     out.status = resource_exhausted("receiver not ready (injected RNR)");

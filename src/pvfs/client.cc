@@ -18,6 +18,15 @@ struct IoHandle::State {
   IoResult result;
   TimePoint start = TimePoint::origin();  // for the stalled-queue error path
   std::vector<IoCallback> callbacks;
+
+  // Record the outcome and fire the callbacks registered so far.
+  void complete(IoResult r) {
+    result = std::move(r);
+    done = true;
+    auto cbs = std::move(callbacks);
+    callbacks.clear();
+    for (IoCallback& cb : cbs) cb(result);
+  }
 };
 
 // Per-operation bookkeeping shared by the per-server round chains.
@@ -28,18 +37,16 @@ struct Client::OpState {
   IoCallback done;
   TimePoint start = TimePoint::origin();   // when the caller issued the op
   TimePoint launch = TimePoint::origin();  // after op-wide registration
-  std::vector<u32> iod_ids;                // per sub-request: primary iod
   // Per sub-request: the *logical stripe server* id (ServerSubRequest::
   // server). partition() skips servers that receive no data, so the dense
   // sub-request index is not the stripe id — shadow handles, version
   // allocation and staleness-map keys must all use the stripe id.
   std::vector<u32> stripes;
   std::vector<std::vector<Round>> rounds;  // per sub-request: its rounds
-  // Per sub-request: the ordered physical replicas serving it (primary
-  // first). A single-entry set equal to iod_ids[k] when unreplicated.
+  // Per sub-request: the chain's ordered physical replicas (primary
+  // first). A factor-1 file has chains of length 1: just the primary.
   std::vector<std::vector<u32>> replica_sets;
-  bool replicated = false;  // file carries a replica table (factor > 1)
-  u32 quorum = 1;           // write acks needed to settle a round
+  u32 quorum = 1;  // write acks needed to settle a round
   // One chain of rounds per target iod, flow-controlled by `window`.
   struct Chain {
     size_t next_issue = 0;  // index of the next round to put on the wire
@@ -99,12 +106,12 @@ Client::Client(u32 id, const ModelConfig& cfg, sim::Engine& engine,
       fabric_(fabric),
       iods_(std::move(iods)),
       stats_(stats),
-      faults_(faults),
+      faults_(fault::Injector::or_disabled(faults)),
       hca_(client_name(id), as_, cfg.reg, stats),
       cache_(hca_),
       registrar_(cache_, cfg.os, core::OgrConfig{}, stats),
       xfer_(fabric, cfg.mem),
-      meta_(hca_, engine, stats, faults, &registry, cfg.migration),
+      meta_(hca_, engine, stats, faults_, &registry, cfg.migration),
       ccache_(cfg.cache, stats) {
   if (cfg.cache.enabled) {
     // Route lease revocations bus -> MetaClient -> cache. Setting the sink
@@ -140,14 +147,12 @@ Result<OpenFile> Client::create(const std::string& name) {
 Result<OpenFile> Client::create(const std::string& name, u64 stripe_size,
                                 u32 iod_count, u32 base_iod) {
   assert(iod_count <= iods_.size());
-  MetaRequest rq;
-  rq.op = MetaOp::kCreate;
-  rq.name = name;
-  rq.stripe_size = stripe_size;
-  rq.iod_count = iod_count;
-  rq.base_iod = base_iod;
-  rq.replication_factor = cfg_.replication.factor;
-  MetaReply r = meta_roundtrip(rq);
+  MetaReply r = meta_roundtrip({.op = MetaOp::kCreate,
+                                .name = name,
+                                .stripe_size = stripe_size,
+                                .iod_count = iod_count,
+                                .base_iod = base_iod,
+                                .replication_factor = cfg_.replication.factor});
   if (!r.status.is_ok()) return r.status;
   if (ccache_.enabled()) ccache_.put_attr(r.meta, now_);
   return OpenFile{r.meta};
@@ -162,10 +167,7 @@ Result<OpenFile> Client::open(const std::string& name) {
       return OpenFile{*m};
     }
   }
-  MetaRequest rq;
-  rq.op = MetaOp::kOpen;
-  rq.name = name;
-  MetaReply r = meta_roundtrip(rq);
+  MetaReply r = meta_roundtrip({.op = MetaOp::kOpen, .name = name});
   if (!r.status.is_ok()) return r.status;
   if (ccache_.enabled()) ccache_.put_attr(r.meta, now_);
   return OpenFile{r.meta};
@@ -179,10 +181,7 @@ Result<FileMeta> Client::stat(const std::string& name) {
     }
   }
   // stat is an open-shaped metadata round-trip.
-  MetaRequest rq;
-  rq.op = MetaOp::kStat;
-  rq.name = name;
-  MetaReply r = meta_roundtrip(rq);
+  MetaReply r = meta_roundtrip({.op = MetaOp::kStat, .name = name});
   if (!r.status.is_ok()) return r.status;
   if (ccache_.enabled()) ccache_.put_attr(r.meta, now_);
   return r.meta;
@@ -191,10 +190,7 @@ Result<FileMeta> Client::stat(const std::string& name) {
 Status Client::remove(const std::string& name) {
   Result<FileMeta> meta = stat(name);
   if (!meta.is_ok()) return meta.status();
-  MetaRequest rq;
-  rq.op = MetaOp::kRemove;
-  rq.name = name;
-  Status r = meta_roundtrip(rq).status;
+  Status r = meta_roundtrip({.op = MetaOp::kRemove, .name = name}).status;
   PVFSIB_RETURN_IF_ERROR(r);
   if (ccache_.enabled()) {
     // The manager's kRemoved lease revoke (when a bus is attached) already
@@ -345,9 +341,9 @@ void Client::start_op(const OpenFile& file, const core::ListIoRequest& req,
 
   const core::StripeMap map(file.meta.stripe_size, file.meta.iod_count);
   const auto subs = core::partition(req, map);
-  op->replicated =
+  const bool replicated =
       file.meta.replication_factor > 1 && !file.meta.replicas.empty();
-  if (op->replicated) {
+  if (replicated) {
     const u32 q = file.meta.replication_factor;
     op->quorum = cfg_.replication.write_quorum == 0
                      ? q
@@ -357,9 +353,8 @@ void Client::start_op(const OpenFile& file, const core::ListIoRequest& req,
     // Logical stripe server -> physical iod, honoring the file's base.
     const u32 primary =
         (file.meta.base_iod + sub.server) % static_cast<u32>(iods_.size());
-    op->iod_ids.push_back(primary);
     op->stripes.push_back(sub.server);
-    if (op->replicated) {
+    if (replicated) {
       assert(sub.server < file.meta.replicas.size());
       const std::vector<u32>& set = file.meta.replicas[sub.server];
       assert(!set.empty() && set[0] == primary);
@@ -371,16 +366,13 @@ void Client::start_op(const OpenFile& file, const core::ListIoRequest& req,
                                       cfg_.pvfs.staging_buffer));
   }
   op->chains.resize(subs.size());
-  for (size_t k = 0; k < subs.size(); ++k) {
+  for (u32 k = 0; k < subs.size(); ++k) {
     op->chains[k].settled_rounds.resize(op->rounds[k].size(), false);
-  }
-  if (op->replicated && !is_write) {
-    // Replica-aware placement: start each chain at a replica the staleness
-    // map records current, instead of discovering a stale/dead primary via
-    // a failed round. Position 0 whenever all replicas are current.
-    for (u32 k = 0; k < op->chains.size(); ++k) {
-      op->chains[k].replica = pick_read_replica(*op, k);
-    }
+    // Replica-aware placement: start each read chain at a replica the
+    // staleness map records current, instead of discovering a stale/dead
+    // primary via a failed round. Position 0 whenever all replicas are
+    // current.
+    if (!is_write) op->chains[k].replica = pick_read_replica(*op, k);
   }
   if (ccache_.enabled()) {
     op->wb_flush = wb_flush;
@@ -439,12 +431,7 @@ void Client::stage_write_back(const OpenFile& file,
                               const core::ListIoRequest& req, TimePoint start,
                               const IoCallback& done) {
   const Handle h = file.meta.handle;
-  std::vector<std::byte> bytes;
-  bytes.reserve(req.bytes());
-  for (const core::MemSegment& m : req.mem) {
-    const std::span<const std::byte> sp = as_.readable_span(m.addr, m.length);
-    bytes.insert(bytes.end(), sp.begin(), sp.end());
-  }
+  const std::vector<std::byte> bytes = gather(req.mem);
   const TimePoint s = max(start, engine_.now());
   ccache_.stage_dirty(h, file.meta.stripe_size, file.meta.iod_count, req.file,
                       bytes, s);
@@ -521,13 +508,6 @@ void Client::cache_op_complete(OpState& op) {
     std::map<u32, u64> done_seq;
     for (u32 s : op.stripes) done_seq[s] = auth.bump_data_seq(h, s);
     if (op.wb_flush) return;  // flush_applied re-tags the dirty entries
-    std::vector<std::byte> bytes;
-    bytes.reserve(op.total_bytes);
-    for (const core::MemSegment& m : op.creq.mem) {
-      const std::span<const std::byte> sp =
-          as_.readable_span(m.addr, m.length);
-      bytes.insert(bytes.end(), sp.begin(), sp.end());
-    }
     const auto tags = [&](u32 stripe, u64* seq, u64* version) {
       const auto it = done_seq.find(stripe);
       *seq = it != done_seq.end() ? it->second : auth.data_seq(h, stripe);
@@ -535,7 +515,7 @@ void Client::cache_op_complete(OpState& op) {
       *version = v.known ? v.latest : 0;
     };
     ccache_.insert_clean(h, op.file.meta.stripe_size, op.file.meta.iod_count,
-                         op.creq.file, bytes, tags);
+                         op.creq.file, gather(op.creq.mem), tags);
     return;
   }
   if (ccache_.write_back() && ccache_.has_dirty(h)) {
@@ -575,12 +555,6 @@ void Client::cache_op_complete(OpState& op) {
     // entry would only be dropped at its first lookup anyway.
     if (auth.data_seq(h, s) != op.cache_seq[s]) return;
   }
-  std::vector<std::byte> bytes;
-  bytes.reserve(op.total_bytes);
-  for (const core::MemSegment& m : op.creq.mem) {
-    const std::span<const std::byte> sp = as_.readable_span(m.addr, m.length);
-    bytes.insert(bytes.end(), sp.begin(), sp.end());
-  }
   const auto tags = [&](u32 stripe, u64* seq, u64* version) {
     const auto it = op.cache_seq.find(stripe);
     *seq = it != op.cache_seq.end() ? it->second : 0;
@@ -588,7 +562,7 @@ void Client::cache_op_complete(OpState& op) {
     *version = vt != op.serve_ver.end() ? vt->second : 0;
   };
   ccache_.insert_clean(h, op.file.meta.stripe_size, op.file.meta.iod_count,
-                       op.creq.file, bytes, tags);
+                       op.creq.file, gather(op.creq.mem), tags);
 }
 
 IoResult Client::flush(const OpenFile& file) {
@@ -614,13 +588,60 @@ IoResult Client::close(const OpenFile& file) {
 
 // --- Round chains ---------------------------------------------------------
 
-bool Client::faulty() const {
-  return faults_ != nullptr && faults_->enabled();
-}
+bool Client::faulty() const { return faults_->enabled(); }
 
 u32 Client::current_target(const OpState& op, u32 iod_idx) const {
   const std::vector<u32>& set = op.replica_sets[iod_idx];
   return op.is_write ? set[0] : set[op.chains[iod_idx].replica];
+}
+
+std::vector<std::byte> Client::gather(const core::MemSegmentList& mem) const {
+  std::vector<std::byte> out;
+  out.reserve(core::total_bytes(mem));
+  for (const core::MemSegment& m : mem) {
+    const std::span<const std::byte> sp = as_.readable_span(m.addr, m.length);
+    out.insert(out.end(), sp.begin(), sp.end());
+  }
+  return out;
+}
+
+TimePoint Client::send_request(Iod& iod, const Round& r, TimePoint t) {
+  if (stats_ != nullptr) stats_->add(stat::kPvfsRequest);
+  return fabric_.send_control(
+      hca_, iod.hca(),
+      cfg_.pvfs.request_msg_bytes +
+          r.accesses.size() * cfg_.pvfs.list_pair_wire_bytes,
+      t, ib::ControlKind::kRequest);
+}
+
+bool Client::eager(const OpState& op, const Round& r) const {
+  const core::XferScheme s = op.opts.policy.scheme;
+  return r.bytes <= cfg_.pvfs.fast_rdma_threshold &&
+         (s == core::XferScheme::kHybrid ||
+          s == core::XferScheme::kPackUnpack);
+}
+
+RoundRequest Client::round_request(const OpState& op, u32 iod_idx,
+                                   size_t round_idx, u32 rep,
+                                   const RoundTry& tr) const {
+  RoundRequest rr;
+  // A backup copy lives under the stripe's shadow handle and in its own
+  // staging-slot region: the target iod also serves a neighbour stripe's
+  // primary chain for this client, and the two must not share local files,
+  // staging buffers, or the (client, slot) replay-dedupe log.
+  rr.handle = rep == 0
+                  ? op.file.meta.handle
+                  : backup_handle(op.file.meta.handle, op.stripes[iod_idx]);
+  rr.client = id_;
+  rr.slot = rep * op.window + static_cast<u32>(round_idx % op.window);
+  rr.round_seq = tr.seq;
+  rr.version = tr.version;
+  rr.epoch = tr.epoch;
+  rr.is_write = op.is_write;
+  rr.sync = op.opts.sync;
+  rr.use_ads = op.opts.use_ads;
+  rr.accesses = op.rounds[iod_idx][round_idx].accesses;
+  return rr;
 }
 
 // --- Version plane --------------------------------------------------------
@@ -673,8 +694,8 @@ u32 Client::pick_read_replica(const OpState& op, u32 iod_idx) {
 void Client::maybe_read_repair(std::shared_ptr<OpState> op, u32 iod_idx,
                                size_t round_idx, u64 serving_version,
                                TimePoint t) {
-  if (!op->replicated || op->is_write) return;
   const std::vector<u32>& set = op->replica_sets[iod_idx];
+  if (set.size() == 1) return;  // unversioned: nothing to note or repair
   const u32 serving = op->chains[iod_idx].replica;
   const u32 stripe = op->stripes[iod_idx];
   // The serving replica demonstrably holds its header's version — a direct
@@ -711,12 +732,7 @@ void Client::schedule_repair_write(std::shared_ptr<OpState> op, u32 iod_idx,
   // Snapshot the just-read bytes now: the op's buffers belong to the
   // caller and may be rewritten the moment the read completes. The repair
   // stream is round-shaped (matches r.accesses in order).
-  auto data = std::make_shared<std::vector<std::byte>>();
-  data->reserve(r.bytes);
-  for (const core::MemSegment& m : r.mem) {
-    const std::span<const std::byte> s = as_.readable_span(m.addr, m.length);
-    data->insert(data->end(), s.begin(), s.end());
-  }
+  auto data = std::make_shared<std::vector<std::byte>>(gather(r.mem));
   // Analytical background transfer: pack copy, then the wire at the resync
   // rate cap. Serialized per target iod so repair traffic never bursts.
   const double bw =
@@ -735,7 +751,7 @@ void Client::schedule_repair_write(std::shared_ptr<OpState> op, u32 iod_idx,
       static_cast<unsigned long long>(r.bytes));
   engine_.schedule_at(arrive, [this, op, iod_idx, round_idx, target, lh,
                                version, data, arrive] {
-    if (faulty() && faults_->iod_down(target, arrive)) {
+    if (faults_->iod_down(target, arrive)) {
       // The stale replica is (still) down: drop the repair silently;
       // resync or a later read heals it.
       return;
@@ -762,7 +778,7 @@ void Client::finish_read_round(std::shared_ptr<OpState> op, u32 iod_idx,
         op->serve_ver.emplace(op->stripes[iod_idx], serving_version);
     if (!fresh) it->second = std::min(it->second, serving_version);
   }
-  if (tr == nullptr || !tr->settled) {
+  if (!tr->settled) {
     if (lost_write_detected(op, iod_idx, round_idx, tr, serving_version, t)) {
       return;  // round re-issued against another replica
     }
@@ -775,15 +791,11 @@ bool Client::lost_write_detected(std::shared_ptr<OpState> op, u32 iod_idx,
                                  size_t round_idx,
                                  std::shared_ptr<RoundTry> tr,
                                  u64 serving_version, TimePoint t) {
-  if (tr == nullptr || op->is_write || !op->replicated ||
-      !cfg_.replication.read_failover) {
-    return false;
-  }
+  // Only the fault plane loses acked writes; without it a header behind
+  // the map is a write racing this read, not a loss.
+  if (!faulty() || !can_fail_over(*op, iod_idx, *tr)) return false;
   const std::vector<u32>& set = op->replica_sets[iod_idx];
-  const u32 nrep = static_cast<u32>(set.size());
-  if (nrep <= 1 || tr->failovers + 1 >= nrep) return false;
-  OpState::Chain& ch = op->chains[iod_idx];
-  const u32 serving = ch.replica;
+  const u32 serving = op->chains[iod_idx].replica;
   const u32 stripe = op->stripes[iod_idx];
   Manager& authority = meta_.authority(op->file.meta.handle);
   const Manager::StripeVersionView v =
@@ -795,47 +807,27 @@ bool Client::lost_write_detected(std::shared_ptr<OpState> op, u32 iod_idx,
       v.replica_versions[serving] < v.latest || serving_version >= v.latest) {
     return false;
   }
-  // This settle context still owns the attempt's armed timer; the re-issue
-  // arms a fresh one, so the old must be cancelled first (arm_round_timer
-  // overwrites the id without cancelling).
-  if (tr->timer_armed) {
-    engine_.cancel(tr->timer_id);
-    tr->timer_armed = false;
-  }
   authority.note_replica_observed(op->file.meta.handle, stripe, set[serving],
                                   serving_version);
-  if (stats_ != nullptr) {
-    stats_->add(stat::kPvfsCorruptionsDetected);
-    stats_->add(stat::kPvfsCorruptReadsFailedOver);
-    stats_->add(stat::kPvfsFailovers);
-  }
-  u32 next = (serving + 1) % nrep;
-  for (u32 i = 1; i <= nrep; ++i) {
-    const u32 cand = (serving + i) % nrep;
-    if (cand != serving && !(faulty() && faults_->iod_down(set[cand], t))) {
-      next = cand;
-      break;
-    }
-  }
-  sim::Trace::instance().emitf(
-      t, hca_.name(),
-      "read round %zu: iod%u header v%llu but acked v%llu (LOST WRITE), "
-      "failing over to iod%u",
-      round_idx + 1, set[serving],
-      static_cast<unsigned long long>(serving_version),
-      static_cast<unsigned long long>(v.replica_versions[serving]),
-      set[next]);
-  ch.replica = next;
-  ++tr->failovers;
-  tr->budget_base = tr->attempts;
-  ++tr->attempts;
-  run_read_round(op, iod_idx, round_idx, t, tr);
+  fail_over_read(op, iod_idx, round_idx, tr, t,
+                 {stat::kPvfsCorruptionsDetected,
+                  stat::kPvfsCorruptReadsFailedOver, stat::kPvfsFailovers},
+                 ": iod" + std::to_string(set[serving]) + " header v" +
+                     std::to_string(serving_version) + " but acked v" +
+                     std::to_string(v.replica_versions[serving]) +
+                     " (LOST WRITE), failing over to");
   return true;
 }
 
 // --- Adaptive round timeouts ---------------------------------------------
 
-void Client::note_rtt(u32 iod_id, Duration sample) {
+void Client::note_rtt(u32 iod_id, const RoundTry& tr, TimePoint t) {
+  // A completion from an older attempt can predate the newest issue; it
+  // says nothing about the current one.
+  if (!faulty() || !faults_->config().adaptive_timeout || t < tr.last_issue) {
+    return;
+  }
+  const Duration sample = t - tr.last_issue;
   RttEstimate& e = rtt_[iod_id];
   if (!e.seeded) {
     // RFC-6298-style seeding: srtt = S, rttvar = S/2.
@@ -862,16 +854,14 @@ Duration Client::iod_timeout(u32 iod_id) const {
 Duration Client::round_timeout_for(const OpState& op, u32 iod_idx) const {
   const FaultConfig& fc = faults_->config();
   if (!fc.adaptive_timeout) return fc.round_timeout;
-  if (op.is_write && op.replicated) {
-    // The round settles on a quorum of replicas; the slowest estimate
-    // bounds how long a fan-out may legitimately take.
-    Duration t = Duration::zero();
-    for (u32 iod_id : op.replica_sets[iod_idx]) {
-      t = max(t, iod_timeout(iod_id));
-    }
-    return t;
+  if (!op.is_write) return iod_timeout(current_target(op, iod_idx));
+  // A write settles on a quorum of its chain; the slowest estimate bounds
+  // how long the fan-out may legitimately take.
+  Duration t = Duration::zero();
+  for (u32 iod_id : op.replica_sets[iod_idx]) {
+    t = max(t, iod_timeout(iod_id));
   }
-  return iod_timeout(current_target(op, iod_idx));
+  return t;
 }
 
 void Client::issue_round(std::shared_ptr<OpState> op, u32 iod_idx,
@@ -885,31 +875,33 @@ void Client::issue_round(std::shared_ptr<OpState> op, u32 iod_idx,
   if (op->window > 1 && stats_ != nullptr) {
     stats_->set_max(stat::kPvfsRoundsInflightMax, ch.inflight);
   }
-  std::shared_ptr<RoundTry> tr;
-  // Recovery/fan state exists under a fault plane, and also for replicated
-  // writes on a healthy run (the quorum count needs per-replica acks).
-  if (faulty() || (op->replicated && op->is_write)) {
-    tr = std::make_shared<RoundTry>();
-    tr->seq = next_round_seq_++;
-    tr->first_issue = t;
-    tr->acked.assign(op->replica_sets[iod_idx].size(), false);
-    tr->data_landed.assign(op->replica_sets[iod_idx].size(), false);
-    if (op->replicated && op->is_write) {
-      // Mint this round's per-stripe version (free piggyback on the
-      // metadata plane). Replays reuse it — a round is one version — and
-      // carry the minting manager's epoch so iods can fence the mint if a
-      // takeover supersedes it mid-flight.
-      Manager& authority = meta_.authority(op->file.meta.handle);
-      tr->version = authority.allocate_stripe_version(op->file.meta.handle,
-                                                      op->stripes[iod_idx]);
-      tr->epoch = authority.epoch();
-    }
-  }
+  auto tr = std::make_shared<RoundTry>();
+  tr->first_issue = t;
+  stamp_round(*op, iod_idx, *tr);
   if (op->is_write) {
     run_write_round(op, iod_idx, round_idx, t, std::move(tr));
   } else {
     run_read_round(op, iod_idx, round_idx, t, std::move(tr));
   }
+}
+
+void Client::stamp_round(const OpState& op, u32 iod_idx, RoundTry& tr) {
+  const size_t nrep = op.replica_sets[iod_idx].size();
+  if (op.is_write && nrep > 1) {
+    // Mint this round's per-stripe version (free piggyback on the metadata
+    // plane). Replays reuse it — a round is one version — and carry the
+    // minting manager's epoch so iods can fence the mint if a takeover
+    // supersedes it mid-flight. A chain of length 1 stays unversioned.
+    Manager& authority = meta_.authority(op.file.meta.handle);
+    tr.version = authority.allocate_stripe_version(op.file.meta.handle,
+                                                   op.stripes[iod_idx]);
+    tr.epoch = authority.epoch();
+  }
+  tr.seq = next_round_seq_++;
+  tr.acked.assign(nrep, false);
+  tr.data_landed.assign(nrep, false);
+  tr.acks = 0;
+  tr.have_first_ack = false;
 }
 
 void Client::wire_cleared(std::shared_ptr<OpState> op, u32 iod_idx,
@@ -973,14 +965,9 @@ void Client::round_done(std::shared_ptr<OpState> op, u32 iod_idx,
           .note_written(op->file.meta.handle, op->logical_end);
     }
     if (ccache_.enabled()) cache_op_complete(*op);
-    IoResult result;
-    result.status = op->status;
-    result.bytes = op->failed ? 0 : op->total_bytes;
-    result.start = op->start;
-    result.end = op->max_end;
-    result.phases = op->phases;
-    result.retries = op->retries;
-    result.failovers = op->failovers;
+    const IoResult result{op->status, op->failed ? 0 : op->total_bytes,
+                          op->start,  op->max_end,
+                          op->phases, op->retries, op->failovers};
     sim::Trace::instance().emitf(
         result.end, hca_.name(), "%s op complete: %llu B in %s",
         op->is_write ? "write" : "read",
@@ -992,9 +979,11 @@ void Client::round_done(std::shared_ptr<OpState> op, u32 iod_idx,
 
 // --- Recovery -------------------------------------------------------------
 
-void Client::arm_round_timer(std::shared_ptr<OpState> op, u32 iod_idx,
-                             size_t round_idx, std::shared_ptr<RoundTry> tr,
-                             TimePoint t) {
+void Client::begin_attempt(std::shared_ptr<OpState> op, u32 iod_idx,
+                           size_t round_idx, std::shared_ptr<RoundTry> tr,
+                           TimePoint t) {
+  tr->last_issue = t;
+  if (!faulty()) return;  // nothing fails transiently: no timeout to arm
   const TimePoint deadline = t + round_timeout_for(*op, iod_idx);
   tr->timer_armed = true;
   tr->timer_id =
@@ -1011,95 +1000,93 @@ void Client::arm_round_timer(std::shared_ptr<OpState> op, u32 iod_idx,
       });
 }
 
+void Client::disarm_timer(RoundTry& tr) {
+  if (!tr.timer_armed) return;
+  engine_.cancel(tr.timer_id);
+  tr.timer_armed = false;
+}
+
 void Client::settle_round(std::shared_ptr<OpState> op, u32 iod_idx,
                           size_t round_idx, std::shared_ptr<RoundTry> tr,
                           TimePoint t, Status status) {
-  if (tr != nullptr) {
-    if (tr->settled) return;  // a concurrent attempt already settled it
-    tr->settled = true;
-    if (tr->timer_armed) {
-      engine_.cancel(tr->timer_id);
-      tr->timer_armed = false;
-    }
-    op->retries += tr->attempts - 1;
-    op->failovers += tr->failovers;
-    if (faulty()) {
-      faults_->note_round_latency(t - tr->first_issue);
-      // Replicated writes feed the estimator per replica ack instead
-      // (write_replica_done); a settle from an older attempt's late
-      // completion can predate the newest issue, so skip those samples.
-      if (status.is_ok() && faults_->config().adaptive_timeout &&
-          !(op->is_write && op->replicated) && t >= tr->last_issue) {
-        note_rtt(current_target(*op, iod_idx), t - tr->last_issue);
-      }
-    }
+  if (tr->settled) return;  // a concurrent attempt already settled it
+  tr->settled = true;
+  disarm_timer(*tr);
+  op->retries += tr->attempts - 1;
+  op->failovers += tr->failovers;
+  faults_->note_round_latency(t - tr->first_issue);
+  // Writes feed the estimator per replica ack instead (write_replica_done).
+  if (status.is_ok() && !op->is_write) {
+    note_rtt(current_target(*op, iod_idx), *tr, t);
   }
   round_done(op, iod_idx, round_idx, t, std::move(status));
 }
 
-void Client::fail_round(std::shared_ptr<OpState> op, u32 iod_idx,
-                        size_t round_idx, std::shared_ptr<RoundTry> tr,
-                        TimePoint t, Status why) {
-  if (tr != nullptr) {
-    retry_or_fail(op, iod_idx, round_idx, tr, t, std::move(why));
-  } else {
-    round_done(op, iod_idx, round_idx, t, std::move(why));
+bool Client::can_fail_over(const OpState& op, u32 iod_idx,
+                           const RoundTry& tr) const {
+  return !op.is_write && cfg_.replication.read_failover &&
+         tr.failovers + 1 < op.replica_sets[iod_idx].size();
+}
+
+void Client::fail_over_read(std::shared_ptr<OpState> op, u32 iod_idx,
+                            size_t round_idx, std::shared_ptr<RoundTry> tr,
+                            TimePoint t,
+                            std::initializer_list<std::string_view> stat_keys,
+                            const std::string& why) {
+  // The caller may still own the attempt's armed timer; the re-issue arms
+  // a fresh one, so the old one goes first.
+  disarm_timer(*tr);
+  const std::vector<u32>& set = op->replica_sets[iod_idx];
+  const u32 nrep = static_cast<u32>(set.size());
+  OpState::Chain& ch = op->chains[iod_idx];
+  u32 next = (ch.replica + 1) % nrep;
+  for (u32 i = 1; i <= nrep; ++i) {
+    const u32 cand = (ch.replica + i) % nrep;
+    if (cand != ch.replica && !faults_->iod_down(set[cand], t)) {
+      next = cand;
+      break;
+    }
   }
+  if (stats_ != nullptr) {
+    for (std::string_view key : stat_keys) stats_->add(key);
+  }
+  sim::Trace::instance().emitf(t, hca_.name(), "read round %zu%s iod%u",
+                               round_idx + 1, why.c_str(), set[next]);
+  ch.replica = next;
+  ++tr->failovers;
+  tr->budget_base = tr->attempts;
+  ++tr->attempts;
+  run_read_round(op, iod_idx, round_idx, t, tr);
 }
 
 void Client::retry_or_fail(std::shared_ptr<OpState> op, u32 iod_idx,
                            size_t round_idx, std::shared_ptr<RoundTry> tr,
                            TimePoint t, Status why) {
   if (tr->settled) return;
-  if (tr->timer_armed) {
-    engine_.cancel(tr->timer_id);
-    tr->timer_armed = false;
-  }
+  disarm_timer(*tr);
+  const std::vector<u32>& set = op->replica_sets[iod_idx];
+  const u32 from_iod = set[op->chains[iod_idx].replica];
   if (why.code() == ErrorCode::kCorrupt && !op->is_write) {
     // The serving replica's bytes failed checksum verification. Retrying
     // the same copy is pointless (the bytes are what they are): flag it
     // with the staleness map — it becomes a resync target and placement
     // stops routing to it — and fail the chain over to another replica.
-    const std::vector<u32>& set = op->replica_sets[iod_idx];
-    const u32 nrep = static_cast<u32>(set.size());
-    OpState::Chain& ch = op->chains[iod_idx];
     meta_.authority(op->file.meta.handle)
         .note_replica_corrupt(op->file.meta.handle, op->stripes[iod_idx],
-                              set[ch.replica]);
-    if (op->replicated && cfg_.replication.read_failover &&
-        tr->failovers + 1 < nrep) {
-      u32 next = (ch.replica + 1) % nrep;
-      for (u32 i = 1; i <= nrep; ++i) {
-        const u32 cand = (ch.replica + i) % nrep;
-        if (cand != ch.replica &&
-            !(faulty() && faults_->iod_down(set[cand], t))) {
-          next = cand;
-          break;
-        }
-      }
-      const u32 from_iod = set[ch.replica];
-      ch.replica = next;
-      ++tr->failovers;
-      tr->budget_base = tr->attempts;
-      ++tr->attempts;
-      if (stats_ != nullptr) {
-        stats_->add(stat::kPvfsCorruptReadsFailedOver);
-        stats_->add(stat::kPvfsFailovers);
-      }
-      sim::Trace::instance().emitf(
-          t, hca_.name(),
-          "read round %zu: iod%u corrupt, failing over to iod%u",
-          round_idx + 1, from_iod, set[next]);
-      run_read_round(op, iod_idx, round_idx, t, tr);
+                              from_iod);
+    if (can_fail_over(*op, iod_idx, *tr)) {
+      fail_over_read(
+          op, iod_idx, round_idx, tr, t,
+          {stat::kPvfsCorruptReadsFailedOver, stat::kPvfsFailovers},
+          ": iod" + std::to_string(from_iod) + " corrupt, failing over to");
       return;
     }
     // No replica left to serve intact bytes: terminal.
     settle_round(op, iod_idx, round_idx, tr, t, std::move(why));
     return;
   }
-  // Transient errors are only minted by the fault plane; a RoundTry can
-  // also exist for a replicated write on a healthy run, where any failure
-  // is a real (terminal) one.
+  // Transient errors are only minted by the fault plane; without it any
+  // failure is a real (terminal) one.
   const bool retryable = faulty() &&
                          (why.code() == ErrorCode::kUnavailable ||
                           why.code() == ErrorCode::kResourceExhausted);
@@ -1111,46 +1098,22 @@ void Client::retry_or_fail(std::shared_ptr<OpState> op, u32 iod_idx,
   // The budget counts attempts since the last failover: a fresh replica
   // deserves a fresh budget.
   if (tr->attempts - 1 - tr->budget_base >= fc.max_retries) {
-    const std::vector<u32>& set = op->replica_sets[iod_idx];
-    const u32 nrep = static_cast<u32>(set.size());
-    if (!op->is_write && op->replicated && cfg_.replication.read_failover &&
-        tr->failovers + 1 < nrep) {
+    if (can_fail_over(*op, iod_idx, *tr)) {
       // Read failover: the serving replica exhausted its budget; re-route
       // this round — and the chain's remaining rounds — to the next live
-      // replica (falling back to plain rotation if all look down).
-      OpState::Chain& ch = op->chains[iod_idx];
-      u32 next = (ch.replica + 1) % nrep;
-      for (u32 i = 1; i <= nrep; ++i) {
-        const u32 cand = (ch.replica + i) % nrep;
-        if (cand != ch.replica && !faults_->iod_down(set[cand], t)) {
-          next = cand;
-          break;
-        }
-      }
-      const u32 from_iod = set[ch.replica];
-      ch.replica = next;
-      ++tr->failovers;
-      tr->budget_base = tr->attempts;
-      ++tr->attempts;
-      if (stats_ != nullptr) {
-        stats_->add(stat::kPvfsFailovers);
-        stats_->add(stat::kPvfsRetries);
-      }
-      sim::Trace::instance().emitf(
-          t, hca_.name(), "read round %zu failing over iod%u -> iod%u",
-          round_idx + 1, from_iod, set[next]);
-      // The new replica is presumed healthy: re-issue immediately.
-      run_read_round(op, iod_idx, round_idx, t, tr);
+      // replica, which is presumed healthy and tried immediately.
+      fail_over_read(op, iod_idx, round_idx, tr, t,
+                     {stat::kPvfsFailovers, stat::kPvfsRetries},
+                     " failing over iod" + std::to_string(from_iod) + " ->");
       return;
     }
-    if (!op->is_write && op->replicated && cfg_.replication.read_failover &&
-        nrep > 1) {
+    if (!op->is_write && cfg_.replication.read_failover && set.size() > 1) {
       // Failover ran out of replicas: every member of the chain burned a
       // full retry budget. Distinct terminal status so callers can tell
       // "the whole chain is gone" from a single overloaded server.
       settle_round(op, iod_idx, round_idx, tr, t,
                    all_replicas_failed(
-                       "read exhausted all " + std::to_string(nrep) +
+                       "read exhausted all " + std::to_string(set.size()) +
                        " replicas (" + std::to_string(tr->attempts - 1) +
                        " attempts, " + std::to_string(tr->failovers) +
                        " failovers): " + why.message()));
@@ -1191,14 +1154,13 @@ void Client::retry_or_fail(std::shared_ptr<OpState> op, u32 iod_idx,
 void Client::run_write_round(std::shared_ptr<OpState> op, u32 iod_idx,
                              size_t round_idx, TimePoint t0,
                              std::shared_ptr<RoundTry> tr) {
-  if (tr != nullptr && faulty()) arm_round_timer(op, iod_idx, round_idx, tr, t0);
-  if (tr != nullptr) tr->last_issue = t0;
+  begin_attempt(op, iod_idx, round_idx, tr, t0);
   t0 += cfg_.pvfs.client_request_cpu;
   const u32 nrep = static_cast<u32>(op->replica_sets[iod_idx].size());
   for (u32 rep = 0; rep < nrep; ++rep) {
     // Replays only re-fan to replicas that never acked; the acked ones
     // already hold (and applied) the data.
-    if (tr != nullptr && tr->acked[rep]) continue;
+    if (tr->acked[rep]) continue;
     run_write_replica(op, iod_idx, round_idx, rep, t0, tr);
   }
 }
@@ -1208,10 +1170,6 @@ void Client::write_replica_done(std::shared_ptr<OpState> op, u32 iod_idx,
                                 std::shared_ptr<RoundTry> tr, TimePoint t,
                                 u64 ack_version, u64 attempt_seq,
                                 bool epoch_rejected) {
-  if (!op->replicated || tr == nullptr) {
-    settle_round(op, iod_idx, round_idx, tr, t, Status::ok());
-    return;
-  }
   // An ack from an attempt a re-mint has since superseded (its seq is not
   // the round's current one) proves nothing about the current mint's fate.
   if (attempt_seq != tr->seq) return;
@@ -1225,19 +1183,8 @@ void Client::write_replica_done(std::shared_ptr<OpState> op, u32 iod_idx,
     // acked without re-running the disk phase — the header would never
     // move. A fresh seq also means the staged-payload shortcut no longer
     // applies (the replay carries data again), so data_landed resets too.
-    if (tr->timer_armed) {
-      engine_.cancel(tr->timer_id);
-      tr->timer_armed = false;
-    }
-    Manager& authority = meta_.authority(op->file.meta.handle);
-    tr->version = authority.allocate_stripe_version(op->file.meta.handle,
-                                                    op->stripes[iod_idx]);
-    tr->epoch = authority.epoch();
-    tr->seq = next_round_seq_++;
-    tr->acked.assign(op->replica_sets[iod_idx].size(), false);
-    tr->data_landed.assign(op->replica_sets[iod_idx].size(), false);
-    tr->acks = 0;
-    tr->have_first_ack = false;
+    disarm_timer(*tr);
+    stamp_round(*op, iod_idx, *tr);
     ++tr->attempts;
     if (stats_ != nullptr) {
       stats_->add(stat::kPvfsVersionRemints);
@@ -1258,15 +1205,18 @@ void Client::write_replica_done(std::shared_ptr<OpState> op, u32 iod_idx,
   // settled the round: a slow-but-alive replica that acks late is current,
   // not stale, and must stay eligible for read placement. The note carries
   // the round's mint epoch; the manager fences notes whose epoch a
-  // takeover has superseded.
-  meta_.authority(op->file.meta.handle)
-      .note_replica_version(op->file.meta.handle, op->stripes[iod_idx],
-                            op->replica_sets[iod_idx][rep],
-                            ack_version != 0 ? ack_version : tr->version,
-                            tr->epoch);
-  if (ccache_.enabled()) {
-    ccache_.note_version(op->file.meta.handle, op->stripes[iod_idx],
-                         ack_version != 0 ? ack_version : tr->version);
+  // takeover has since superseded. Unversioned rounds (a chain of length
+  // 1) have nothing to record.
+  const u64 version = ack_version != 0 ? ack_version : tr->version;
+  if (version != 0) {
+    meta_.authority(op->file.meta.handle)
+        .note_replica_version(op->file.meta.handle, op->stripes[iod_idx],
+                              op->replica_sets[iod_idx][rep], version,
+                              tr->epoch);
+    if (ccache_.enabled()) {
+      ccache_.note_version(op->file.meta.handle, op->stripes[iod_idx],
+                           version);
+    }
   }
   if (tr->settled) return;  // late ack after quorum settle
   ++tr->acks;
@@ -1274,10 +1224,7 @@ void Client::write_replica_done(std::shared_ptr<OpState> op, u32 iod_idx,
     tr->have_first_ack = true;
     tr->first_ack = t;
   }
-  if (faulty() && faults_->config().adaptive_timeout &&
-      t >= tr->last_issue) {
-    note_rtt(op->replica_sets[iod_idx][rep], t - tr->last_issue);
-  }
+  note_rtt(op->replica_sets[iod_idx][rep], *tr, t);
   if (tr->acks < op->quorum) return;  // timer stays armed for the rest
   if (stats_ != nullptr && op->quorum > 1 && t > tr->first_ack) {
     stats_->add(stat::kPvfsQuorumWaits);
@@ -1292,125 +1239,77 @@ void Client::run_write_replica(std::shared_ptr<OpState> op, u32 iod_idx,
   const u32 iod_id = op->replica_sets[iod_idx][rep];
   Iod& iod = *iods_[iod_id];
 
-  RoundRequest rr;
-  // A backup copy lives under the stripe's shadow handle and in its own
-  // staging-slot region: the target iod also serves a neighbour stripe's
-  // primary chain for this client, and the two must not share local files,
-  // staging buffers, or the (client, slot) replay-dedupe log.
-  rr.handle = rep == 0
-                  ? op->file.meta.handle
-                  : backup_handle(op->file.meta.handle, op->stripes[iod_idx]);
-  rr.client = id_;
-  rr.slot = rep * op->window + static_cast<u32>(round_idx % op->window);
-  rr.round_seq = tr != nullptr ? tr->seq : 0;
-  rr.version = tr != nullptr ? tr->version : 0;
-  rr.epoch = tr != nullptr ? tr->epoch : 0;
-  rr.is_write = true;
-  rr.sync = op->opts.sync;
-  rr.use_ads = op->opts.use_ads;
-  rr.accesses = r.accesses;
+  RoundRequest rr = round_request(*op, iod_idx, round_idx, rep, *tr);
   // Partial-round restart: an earlier attempt's payload already landed in
   // this replica's staging slot (and was applied — data arrival and the
   // disk phase are atomic at the iod), so the replay carries no data
   // phase; the iod dedupes it by round_seq and just acks.
-  const bool staged =
-      tr != nullptr && rep < tr->data_landed.size() && tr->data_landed[rep];
+  const bool staged = tr->data_landed[rep];
   rr.data_staged = staged;
 
-  if (stats_ != nullptr) {
-    stats_->add(stat::kPvfsRequest);
-    if (rep > 0) stats_->add(stat::kPvfsReplicaWrites);
-  }
-  const u64 req_bytes =
-      cfg_.pvfs.request_msg_bytes +
-      r.accesses.size() * cfg_.pvfs.list_pair_wire_bytes;
-  const TimePoint t_req = fabric_.send_control(hca_, iod.hca(), req_bytes, t0,
-                                               ib::ControlKind::kRequest);
+  if (stats_ != nullptr && rep > 0) stats_->add(stat::kPvfsReplicaWrites);
+  const TimePoint t_req = send_request(iod, r, t0);
   // Fault plane: the request may vanish (random drop, scheduled drop, or
   // a crashed iod). The wire time was spent; nothing downstream happens
   // and the round timer drives the replay.
-  const bool req_lost =
-      tr != nullptr && faulty() && faults_->request_lost(iod_id, t_req);
-
-  TimePoint data_ready;
+  const bool req_lost = faults_->request_lost(iod_id, t_req);
+  TimePoint data_ready = t_req;
+  std::optional<core::TransferOutcome> push;
+  TimePoint push_start = t0;
   if (staged) {
     if (stats_ != nullptr) stats_->add(stat::kPvfsPartialRestarts);
     sim::Trace::instance().emitf(
         t0, hca_.name(),
         "-> iod%u write round %zu replay, payload staged (wire skipped)",
         iod_id, round_idx + 1);
-    if (req_lost) {
-      sim::Trace::instance().emitf(t_req, hca_.name(),
-                                   "-> iod%u round %zu request lost", iod_id,
-                                   round_idx + 1);
-      return;
-    }
-    data_ready = t_req;
   } else {
-    const auto& pol = op->opts.policy;
-    const bool eager =
-        r.bytes <= cfg_.pvfs.fast_rdma_threshold &&
-        (pol.scheme == core::XferScheme::kHybrid ||
-         pol.scheme == core::XferScheme::kPackUnpack);
+    const bool fast = eager(*op, r);
     sim::Trace::instance().emitf(
         t0, hca_.name(), "-> iod%u write round %zu/%zu: %zu pairs, %llu B (%s)",
         iod_id, round_idx + 1, op->rounds[iod_idx].size(),
         r.accesses.size(), static_cast<unsigned long long>(r.bytes),
-        eager ? "fast-rdma eager" : "rendezvous");
-    if (req_lost && !eager) {
-      // Rendezvous: the iod never saw the request, so no ack ever comes.
-      sim::Trace::instance().emitf(t_req, hca_.name(),
-                                   "-> iod%u round %zu request lost", iod_id,
-                                   round_idx + 1);
-      return;
-    }
-
-    core::TransferOutcome push;
-    TimePoint push_start;
-    if (eager) {
+        fast ? "fast-rdma eager" : "rendezvous");
+    if (fast) {
       // Fast RDMA: pack into the pre-registered bounce buffer and write it
-      // into the iod's staging buffer alongside the request.
-      core::TransferPolicy p = pol;
+      // into the iod's staging buffer alongside the request (paid for even
+      // when the request is lost).
+      core::TransferPolicy p = op->opts.policy;
       p.scheme = core::XferScheme::kPackUnpack;
       p.pack_preregistered = true;
       push = xfer_.push(ep_, r.mem, iod.staging(id_, rr.slot), t0, p);
-      push_start = t0;
-      data_ready = max(push.complete, t_req);
-      if (req_lost) {
-        // The eager data rode along with the lost request; the client still
-        // paid for the push but the iod never services the round.
-        if (push.ok()) {
-          op->phases.registration += push.reg_cost;
-          op->phases.wire += (push.complete - push_start) - push.reg_cost;
-        }
-        sim::Trace::instance().emitf(t_req, hca_.name(),
-                                     "-> iod%u round %zu request lost", iod_id,
-                                     round_idx + 1);
-        return;
-      }
-    } else {
-      // Rendezvous: the iod acknowledges buffer availability, then the client
-      // pushes with the configured scheme.
-      const TimePoint ack = fabric_.send_control(
+      data_ready = max(push->complete, t_req);
+    } else if (!req_lost) {
+      // Rendezvous: the iod acknowledges buffer availability, then the
+      // client pushes with the configured scheme. A lost request never
+      // gets that ack.
+      push_start = fabric_.send_control(
           iod.hca(), hca_, cfg_.pvfs.reply_msg_bytes,
           t_req + cfg_.pvfs.iod_request_cpu, ib::ControlKind::kReply);
-      push = xfer_.push(ep_, r.mem, iod.staging(id_, rr.slot), ack, pol);
-      push_start = ack;
-      data_ready = push.complete;
+      push = xfer_.push(ep_, r.mem, iod.staging(id_, rr.slot), push_start,
+                        op->opts.policy);
+      data_ready = push->complete;
     }
-    if (!push.ok()) {
-      fail_round(op, iod_idx, round_idx, tr, data_ready, push.status);
-      return;
-    }
-    op->phases.registration += push.reg_cost;
-    op->phases.wire += (push.complete - push_start) - push.reg_cost;
+  }
+  if (push.has_value() && !push->ok() && !req_lost) {
+    retry_or_fail(op, iod_idx, round_idx, tr, data_ready, push->status);
+    return;
+  }
+  if (push.has_value() && push->ok()) {
+    op->phases.registration += push->reg_cost;
+    op->phases.wire += (push->complete - push_start) - push->reg_cost;
+  }
+  if (req_lost) {
+    sim::Trace::instance().emitf(t_req, hca_.name(),
+                                 "-> iod%u round %zu request lost", iod_id,
+                                 round_idx + 1);
+    return;
   }
 
   // Server disk phase begins when the data has landed.
   engine_.schedule_at(data_ready, [this, op, iod_idx, round_idx, rep, tr,
                                    rr = std::move(rr), &iod, iod_id,
                                    data_ready] {
-    if (tr != nullptr && faulty() && faults_->iod_down(iod_id, data_ready)) {
+    if (faults_->iod_down(iod_id, data_ready)) {
       // The iod crashed between accepting the request and the data
       // landing: the round dies on the server floor; the timer replays it.
       if (stats_ != nullptr) stats_->add(stat::kFaultIodDownDrop);
@@ -1419,9 +1318,7 @@ void Client::run_write_replica(std::shared_ptr<OpState> op, u32 iod_idx,
                                    iod_id, round_idx + 1);
       return;
     }
-    if (tr != nullptr && rep < tr->data_landed.size()) {
-      tr->data_landed[rep] = true;
-    }
+    tr->data_landed[rep] = true;
     Duration disk_cost = Duration::zero();
     u64 ack_version = 0;
     bool epoch_rejected = false;
@@ -1436,7 +1333,7 @@ void Client::run_write_replica(std::shared_ptr<OpState> op, u32 iod_idx,
       const TimePoint t_reply =
           fabric_.send_control(iod.hca(), hca_, cfg_.pvfs.reply_msg_bytes,
                                t_disk, ib::ControlKind::kReply);
-      if (tr != nullptr && faulty() && faults_->reply_lost(iod_id, t_disk)) {
+      if (faults_->reply_lost(iod_id, t_disk)) {
         // The write applied but its ack vanished; the replay is recognised
         // by round_seq at the iod and acked without re-running the disk.
         // The version note rides the ack, so it is lost with it.
@@ -1479,36 +1376,18 @@ void Client::run_write_replica(std::shared_ptr<OpState> op, u32 iod_idx,
 void Client::run_read_round(std::shared_ptr<OpState> op, u32 iod_idx,
                             size_t round_idx, TimePoint t0,
                             std::shared_ptr<RoundTry> tr) {
-  if (tr != nullptr) arm_round_timer(op, iod_idx, round_idx, tr, t0);
-  if (tr != nullptr) tr->last_issue = t0;
+  begin_attempt(op, iod_idx, round_idx, tr, t0);
   t0 += cfg_.pvfs.client_request_cpu;
   const Round& r = op->rounds[iod_idx][round_idx];
   // Reads are served by whichever replica the chain currently points at
   // (the primary until a failover moves it).
   const u32 iod_id = current_target(*op, iod_idx);
   Iod& iod = *iods_[iod_id];
-
-  const u32 replica = op->chains[iod_idx].replica;
-  RoundRequest rr;
-  // After a failover the backup serves the stripe from its shadow-handle
-  // local file, through its own staging-slot region (the backup iod's
-  // primary-chain slots for this client belong to a different stripe).
-  rr.handle = replica == 0
-                  ? op->file.meta.handle
-                  : backup_handle(op->file.meta.handle, op->stripes[iod_idx]);
-  rr.client = id_;
-  rr.slot = replica * op->window + static_cast<u32>(round_idx % op->window);
-  rr.round_seq = tr != nullptr ? tr->seq : 0;
-  rr.is_write = false;
-  rr.sync = op->opts.sync;
-  rr.use_ads = op->opts.use_ads;
-  rr.accesses = r.accesses;
+  RoundRequest rr =
+      round_request(*op, iod_idx, round_idx, op->chains[iod_idx].replica, *tr);
 
   const auto& pol = op->opts.policy;
-  const bool fast =
-      r.bytes <= cfg_.pvfs.fast_rdma_threshold &&
-      (pol.scheme == core::XferScheme::kHybrid ||
-       pol.scheme == core::XferScheme::kPackUnpack);
+  const bool fast = eager(*op, r);
   const bool direct =
       !fast && op->opts.direct_read_return && r.mem.size() == 1 &&
       (pol.scheme == core::XferScheme::kHybrid ||
@@ -1528,7 +1407,7 @@ void Client::run_read_round(std::shared_ptr<OpState> op, u32 iod_idx,
     // Pin the single destination buffer and ship its rkey in the request.
     ib::MrCache::Lookup lk = cache_.acquire(r.mem[0].addr, r.mem[0].length);
     if (!lk.ok()) {
-      fail_round(op, iod_idx, round_idx, tr, t_client, lk.status);
+      retry_or_fail(op, iod_idx, round_idx, tr, t_client, lk.status);
       return;
     }
     t_client += lk.cost;
@@ -1538,13 +1417,8 @@ void Client::run_read_round(std::shared_ptr<OpState> op, u32 iod_idx,
     release_key = lk.key;
   }
 
-  if (stats_ != nullptr) stats_->add(stat::kPvfsRequest);
-  const u64 req_bytes =
-      cfg_.pvfs.request_msg_bytes +
-      r.accesses.size() * cfg_.pvfs.list_pair_wire_bytes;
-  const TimePoint t_req = fabric_.send_control(
-      hca_, iod.hca(), req_bytes, t_client, ib::ControlKind::kRequest);
-  if (tr != nullptr && faults_->request_lost(iod_id, t_req)) {
+  const TimePoint t_req = send_request(iod, r, t_client);
+  if (faults_->request_lost(iod_id, t_req)) {
     // The iod never sees the read round; the timer drives the replay,
     // which pins its own destination key.
     if (release_key != 0) cache_.release(release_key);
@@ -1563,10 +1437,10 @@ void Client::run_read_round(std::shared_ptr<OpState> op, u32 iod_idx,
     if (stats_ != nullptr) stats_->add(stat::kPvfsReply);
     if (!svc.ok()) {
       if (release_key != 0) cache_.release(release_key);
-      fail_round(op, iod_idx, round_idx, tr, svc.ready, svc.status);
+      retry_or_fail(op, iod_idx, round_idx, tr, svc.ready, svc.status);
       return;
     }
-    if (tr != nullptr && faults_->reply_lost(iod_id, svc.ready)) {
+    if (faults_->reply_lost(iod_id, svc.ready)) {
       // The return leg (data push completion or ready ack) vanished;
       // reads are naturally idempotent, so the replay just re-reads.
       if (release_key != 0) cache_.release(release_key);
@@ -1626,7 +1500,7 @@ void Client::run_read_round(std::shared_ptr<OpState> op, u32 iod_idx,
             if (st.is_ok()) {
               finish_read_round(op, iod_idx, round_idx, tr, ver, t_done);
             } else {
-              fail_round(op, iod_idx, round_idx, tr, t_done, st);
+              retry_or_fail(op, iod_idx, round_idx, tr, t_done, st);
             }
           });
         });
@@ -1661,14 +1535,11 @@ IoResult IoHandle::wait() {
   if (!state_->done) {
     // The event queue drained without the completion firing — a protocol
     // bug; surface it instead of returning a default-OK result.
-    state_->result.status =
-        internal_error("operation stalled: event queue drained");
-    state_->result.start = state_->start;
-    state_->result.end = client_->engine_.now();
-    state_->done = true;
-    auto cbs = std::move(state_->callbacks);
-    state_->callbacks.clear();
-    for (IoCallback& cb : cbs) cb(state_->result);
+    IoResult stalled;
+    stalled.status = internal_error("operation stalled: event queue drained");
+    stalled.start = state_->start;
+    stalled.end = client_->engine_.now();
+    state_->complete(std::move(stalled));
     return state_->result;
   }
   client_->advance_to(state_->result.end);
@@ -1695,13 +1566,8 @@ IoHandle Client::submit(const IoDesc& desc) {
     opts.policy = *default_policy_;
   }
   start_op(desc.file, desc.req, opts, desc.start,
-           desc.dir == IoDir::kWrite, [st](IoResult r) {
-             st->result = std::move(r);
-             st->done = true;
-             auto cbs = std::move(st->callbacks);
-             st->callbacks.clear();
-             for (IoCallback& cb : cbs) cb(st->result);
-           });
+           desc.dir == IoDir::kWrite,
+           [st](IoResult r) { st->complete(std::move(r)); });
   return IoHandle(this, std::move(st));
 }
 
@@ -1719,18 +1585,14 @@ IoResult Client::read_list(const OpenFile& file,
 
 IoResult Client::write(const OpenFile& file, u64 file_offset, u64 addr,
                        u64 length, const IoOptions& opts) {
-  core::ListIoRequest req;
-  req.mem = {{addr, length}};
-  req.file = {{file_offset, length}};
-  return write_list(file, req, opts);
+  return write_list(
+      file, {.mem = {{addr, length}}, .file = {{file_offset, length}}}, opts);
 }
 
 IoResult Client::read(const OpenFile& file, u64 file_offset, u64 addr,
                       u64 length, const IoOptions& opts) {
-  core::ListIoRequest req;
-  req.mem = {{addr, length}};
-  req.file = {{file_offset, length}};
-  return read_list(file, req, opts);
+  return read_list(
+      file, {.mem = {{addr, length}}, .file = {{file_offset, length}}}, opts);
 }
 
 }  // namespace pvfsib::pvfs

@@ -29,9 +29,13 @@
 #pragma once
 
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "cache/client_cache.h"
 #include "common/config.h"
@@ -269,12 +273,13 @@ class Client {
     u64 bytes = 0;
   };
   struct OpState;  // shared per-operation bookkeeping
-  // Recovery state of one round across its attempts. Exists when the fault
-  // plane is on or the round is a replicated write (whose per-replica fan
-  // needs ack bookkeeping even on a healthy run); a null RoundTry means
-  // neither applies and the round cannot fail transiently. Shared between
-  // the attempt's event chain and the armed timeout timer; `settled` makes
-  // late duplicate completions harmless.
+  // The state of one round across its attempts. Every round carries one,
+  // healthy or not, and runs the same lifecycle: issue, fan out to the
+  // chain (a factor-1 file is a chain of length 1 with quorum 1), collect
+  // acks or a read return, settle. A disabled fault injector never fires,
+  // so on a healthy run no timer is armed and no attempt is replayed.
+  // Shared between the attempt's event chain and the armed timeout timer;
+  // `settled` makes late duplicate completions harmless.
   struct RoundTry {
     u64 seq = 0;         // round_seq stamped once, reused on every replay
     u32 attempts = 1;    // attempts started (1 = first try)
@@ -288,17 +293,18 @@ class Client {
     // far (capped at replica-count - 1 per round).
     u32 budget_base = 0;
     u32 failovers = 0;
-    // Per-stripe version stamped on a replicated write round (manager-
-    // minted in issue_round; 0 otherwise). Replays carry the same version.
+    // Per-stripe version stamped on a write round whose chain is longer
+    // than 1 (manager-minted in issue_round; 0 otherwise). Replays carry
+    // the same version.
     u64 version = 0;
     // Manager epoch `version` was minted under (0 when unversioned). Rides
     // every attempt of the round so iods can fence mints that a manager
     // takeover has since superseded.
     u64 epoch = 0;
-    // Replicated-write fan state, indexed by replica position in the
-    // chain's replica set: which replicas have acked this round (replays
-    // go only to the silent ones) and which already hold the payload in
-    // their staging slot (replays to those skip the wire phase).
+    // Write fan state, indexed by replica position in the chain's replica
+    // set: which replicas have acked this round (replays go only to the
+    // silent ones) and which already hold the payload in their staging
+    // slot (replays to those skip the wire phase).
     std::vector<bool> acked;
     std::vector<bool> data_landed;
     u32 acks = 0;
@@ -332,6 +338,11 @@ class Client {
   void cache_op_complete(OpState& op);
   // Issue the chain's next round at time `t` (window bookkeeping done).
   void issue_round(std::shared_ptr<OpState> op, u32 iod_idx, TimePoint t);
+  // Give `tr` a fresh round_seq and an empty ack fan; a write on a chain
+  // longer than 1 also gets a stripe version minted under the current
+  // authority's epoch. Runs at issue and again when an epoch fence forces
+  // a re-mint.
+  void stamp_round(const OpState& op, u32 iod_idx, RoundTry& tr);
   // Round k's data phase cleared the wire at `t`: issue round k+1 if the
   // outstanding-round window has room, else record the stall.
   void wire_cleared(std::shared_ptr<OpState> op, u32 iod_idx, TimePoint t);
@@ -347,8 +358,8 @@ class Client {
   // Replica `rep` acked the write round at `t` holding stripe version
   // `ack_version`: record the version with the manager (even for late acks
   // after the quorum settled — a slow-but-alive replica is current, not
-  // stale) and settle once the write quorum is met (immediately when
-  // unreplicated). `attempt_seq` is the round_seq the attempt carried —
+  // stale) and settle once the write quorum is met (the first ack on a
+  // chain of length 1). `attempt_seq` is the round_seq the attempt carried —
   // acks from attempts older than the round's current seq (superseded by a
   // re-mint) are dropped. `epoch_rejected` means the iod fenced the
   // attempt's version as epoch-stale: the round re-mints a fresh
@@ -362,36 +373,65 @@ class Client {
   void run_read_round(std::shared_ptr<OpState> op, u32 iod_idx,
                       size_t round_idx, TimePoint t0,
                       std::shared_ptr<RoundTry> tr);
-  // Arm the per-round timeout for the attempt starting at `t`.
-  void arm_round_timer(std::shared_ptr<OpState> op, u32 iod_idx,
-                       size_t round_idx, std::shared_ptr<RoundTry> tr,
-                       TimePoint t);
+  // Start an attempt at `t`: stamp it as the newest and, when the fault
+  // plane is on, arm its timeout.
+  void begin_attempt(std::shared_ptr<OpState> op, u32 iod_idx,
+                     size_t round_idx, std::shared_ptr<RoundTry> tr,
+                     TimePoint t);
+  // Cancel the attempt's timeout timer, if one is armed.
+  void disarm_timer(RoundTry& tr);
   // A round completed successfully (or terminally) at `t`: cancel its
   // timer, record recovery stats, and feed round_done. Idempotent per
   // round — late duplicate completions after a replay are ignored.
   void settle_round(std::shared_ptr<OpState> op, u32 iod_idx,
                     size_t round_idx, std::shared_ptr<RoundTry> tr,
                     TimePoint t, Status status);
-  // An attempt failed with `why` at `t`: retry with backoff if the error
-  // is transient and budget remains, else settle the round terminally.
+  // An attempt failed with `why` at `t`: fail a read over to another
+  // replica, retry with backoff if the error is transient and budget
+  // remains, else settle the round terminally.
   void retry_or_fail(std::shared_ptr<OpState> op, u32 iod_idx,
                      size_t round_idx, std::shared_ptr<RoundTry> tr,
                      TimePoint t, Status why);
-  // Route a failed attempt: recovery path when `tr` exists, terminal
-  // round_done otherwise.
-  void fail_round(std::shared_ptr<OpState> op, u32 iod_idx, size_t round_idx,
-                  std::shared_ptr<RoundTry> tr, TimePoint t, Status why);
+  // May this read round move to another replica of its chain? (Failover
+  // is on and some replica has not yet been tried.)
+  bool can_fail_over(const OpState& op, u32 iod_idx,
+                     const RoundTry& tr) const;
+  // Re-route read round `round_idx` — and the chain's remaining rounds —
+  // to the next live replica (plain rotation when all look down) with a
+  // fresh retry budget, and re-issue it at `t`. Adds each of `stat_keys`
+  // and traces "read round <n><why> iod<next>".
+  void fail_over_read(std::shared_ptr<OpState> op, u32 iod_idx,
+                      size_t round_idx, std::shared_ptr<RoundTry> tr,
+                      TimePoint t,
+                      std::initializer_list<std::string_view> stat_keys,
+                      const std::string& why);
   // A round left the window (settled) at `t`.
   void round_done(std::shared_ptr<OpState> op, u32 iod_idx, size_t round_idx,
                   TimePoint t, Status status);
   static std::vector<Round> split_rounds(const core::ServerSubRequest& sub,
                                          u64 max_pairs, u64 max_bytes);
+  // Is the fault plane on? Decides only behaviour that exists because of
+  // it — armed round timers (and the RTT estimates that size them),
+  // retryable errors, out-of-order settles and the lost-write check —
+  // never whether the injector may be called.
   bool faulty() const;
 
   // The physical iod currently serving reads for (or primarying writes of)
-  // the chain — replica_sets[iod_idx][chain.replica] under replication,
-  // the classic single target otherwise.
+  // the chain: replica_sets[iod_idx][chain.replica].
   u32 current_target(const OpState& op, u32 iod_idx) const;
+  // The RoundRequest fields common to write and read rounds, for replica
+  // position `rep` of the chain.
+  RoundRequest round_request(const OpState& op, u32 iod_idx, size_t round_idx,
+                             u32 rep, const RoundTry& tr) const;
+  // Count and send a round's request — header plus its list pairs — to
+  // `iod` at `t`; returns its arrival time.
+  TimePoint send_request(Iod& iod, const Round& r, TimePoint t);
+  // Fast RDMA (eager) data phase: a round within fast_rdma_threshold under
+  // a pack-based scheme rides the pre-registered bounce buffer — pushed
+  // with the write request, or returned with the read reply.
+  bool eager(const OpState& op, const Round& r) const;
+  // The bytes of `mem` in list order, copied out of client memory.
+  std::vector<std::byte> gather(const core::MemSegmentList& mem) const;
 
   // --- Version plane (replica-aware reads, read-repair) -------------------
   // Starting replica for a replicated read chain: the first replica the
@@ -437,15 +477,16 @@ class Client {
     Duration srtt = Duration::zero();
     Duration rttvar = Duration::zero();
   };
-  // Feed a settled attempt's issue-to-completion time into `iod`'s
-  // estimator (only called when FaultConfig::adaptive_timeout is on).
-  void note_rtt(u32 iod_id, Duration sample);
+  // Feed attempt `tr`'s issue-to-completion time, completing at `t`, into
+  // `iod_id`'s estimator. A no-op unless the fault plane is on with
+  // FaultConfig::adaptive_timeout.
+  void note_rtt(u32 iod_id, const RoundTry& tr, TimePoint t);
   // Timeout for one iod: srtt + var_mult * rttvar, clamped; the static
   // round_timeout until seeded or when adaptive timeouts are off.
   Duration iod_timeout(u32 iod_id) const;
   // Timeout for a round attempt: the (single) read target's timeout, or
-  // the max over a replicated write's fan so a slow backup is not declared
-  // dead by a fast primary's estimate.
+  // the max over a write's fan so a slow backup is not declared dead by a
+  // fast primary's estimate.
   Duration round_timeout_for(const OpState& op, u32 iod_idx) const;
 
   // Run one typed metadata request through MetaClient::call starting at
@@ -459,7 +500,7 @@ class Client {
   ib::Fabric& fabric_;
   std::vector<Iod*> iods_;
   Stats* stats_;
-  fault::Injector* faults_;
+  fault::Injector* faults_;  // never null: Injector::disabled() stands in
   std::optional<core::TransferPolicy> default_policy_;
   // Next round_seq to stamp (client-wide counter; strictly increasing, so
   // every (client, slot) subsequence is strictly increasing too). Shared

@@ -93,14 +93,12 @@ Cluster::Cluster(const ModelConfig& cfg, const Topology& topo) : cfg_(cfg) {
       if (iod < iods_.size()) iods_[iod]->on_restart(at);
     });
   }
-  if (faults_->enabled()) {
-    // Scheduled kBitFlip events corrupt data at rest on the target iod
-    // (rate-driven flips ride the write path inside the iod instead).
-    faults_->install_corruption_hooks(engine_, [this](u32 iod, TimePoint at) {
-      if (iod < iods_.size()) iods_[iod]->inject_bit_flip(at);
-    });
-  }
-  if (with_standbys && faults_->enabled()) {
+  // Scheduled kBitFlip events corrupt data at rest on the target iod
+  // (rate-driven flips ride the write path inside the iod instead).
+  faults_->install_corruption_hooks(engine_, [this](u32 iod, TimePoint at) {
+    if (iod < iods_.size()) iods_[iod]->inject_bit_flip(at);
+  });
+  if (with_standbys) {
     // Fenced takeover rides the fault schedule: `manager_takeover_delay`
     // after each shard's kManagerCrash window opens, the shard's standby
     // promotes itself.

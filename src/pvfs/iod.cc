@@ -21,7 +21,7 @@ Iod::Iod(u32 id, u32 client_count, const ModelConfig& cfg, ib::Fabric& fabric,
       cfg_(cfg),
       fabric_(fabric),
       stats_(stats),
-      faults_(faults),
+      faults_(fault::Injector::or_disabled(faults)),
       hca_(iod_name(id), as_, cfg.reg, stats),
       fs_(iod_name(id), cfg.disk, cfg.fs, stats),
       disk_queue_(iod_name(id) + ".disk"),
@@ -73,7 +73,6 @@ Duration Iod::remove_file(Handle h) {
 }
 
 Duration Iod::disk_scaled(Duration cost, TimePoint at) const {
-  if (faults_ == nullptr || !faults_->enabled()) return cost;
   return cost * faults_->disk_factor(id_, at);
 }
 
@@ -187,7 +186,7 @@ TimePoint Iod::write_round(const RoundRequest& r, TimePoint data_ready,
   bool lost = false;
   bool torn = false;
   bool flip = false;
-  if (faults_ != nullptr && faults_->enabled() && r.bytes() > 0) {
+  if (r.bytes() > 0) {
     lost = faults_->lost_write(id_, data_ready);
     if (!lost) torn = faults_->torn_write(id_, data_ready);
     if (!lost && !torn) flip = faults_->write_bit_flip(id_, data_ready);
@@ -336,10 +335,7 @@ void Iod::on_restart(TimePoint t) {
 void Iod::resync_step(std::shared_ptr<ResyncState> st) {
   // Crashed again mid-scan: abandon; the next restart rescans (the map
   // still records every unfinished stripe as stale).
-  if (faults_ != nullptr && faults_->enabled() &&
-      faults_->iod_down(id_, st->t)) {
-    return;
-  }
+  if (faults_->iod_down(id_, st->t)) return;
   while (st->ti < st->targets.size()) {
     const Manager::ResyncTarget& tg = st->targets[st->ti];
     // The first chain peer recorded current and up right now is the pull
@@ -351,8 +347,7 @@ void Iod::resync_step(std::shared_ptr<ResyncState> st) {
     for (size_t j = 0; j < tg.peers.size(); ++j) {
       const u32 p = tg.peers[j];
       if (p < peers_.size() && peers_[p] != nullptr &&
-          !(faults_ != nullptr && faults_->enabled() &&
-            faults_->iod_down(p, st->t))) {
+          !faults_->iod_down(p, st->t)) {
         peer = peers_[p];
         peer_handle = tg.peer_handles[j];
         peer_id = p;
@@ -727,7 +722,6 @@ void Iod::corrupt_flip(Handle h, const ExtentList& accesses, TimePoint at) {
 }
 
 void Iod::inject_bit_flip(TimePoint at) {
-  if (faults_ == nullptr) return;
   // Deterministic pick among nonempty local files (map order), then a byte
   // and a bit, all from the injector's seeded stream. A node with no data
   // yet absorbs the event silently (and counts nothing — the fault never
@@ -767,8 +761,7 @@ void Iod::start_scrub(TimePoint until) {
 
 void Iod::scrub_tick(std::shared_ptr<ScrubState> st) {
   const TimePoint now = engine_->now();
-  const bool down = faults_ != nullptr && faults_->enabled() &&
-                    faults_->iod_down(id_, now);
+  const bool down = faults_->iod_down(id_, now);
   if (!down && !files_.empty()) {
     u64 budget = std::max<u64>(1, cfg_.replication.scrub_chunk_bytes);
     u64 scanned = 0;

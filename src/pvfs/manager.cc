@@ -27,7 +27,7 @@ Manager::Manager(const ModelConfig& cfg, ib::Fabric& fabric, Stats* stats,
       fabric_(fabric),
       stats_(stats),
       cluster_iod_count_(opts.cluster_iod_count),
-      faults_(opts.faults),
+      faults_(fault::Injector::or_disabled(opts.faults)),
       shard_id_(opts.shard_id),
       shard_count_(opts.shard_count == 0 ? 1 : opts.shard_count),
       hca_(opts.name, as_, cfg.reg, stats),
@@ -45,8 +45,7 @@ Duration Manager::round_trip(ib::Hca& from, TimePoint ready, TimePoint* done,
                              bool* lost) {
   const TimePoint at_mgr = fabric_.send_control(
       from, hca_, cfg_.pvfs.request_msg_bytes, ready, ib::ControlKind::kRequest);
-  if (faults_ != nullptr && faults_->enabled() &&
-      faults_->meta_request_lost(at_mgr, primary_, shard_id_)) {
+  if (faults_->meta_request_lost(at_mgr, primary_, shard_id_)) {
     // The request wire time was spent but the manager never saw it; the
     // caller notices via timeout. `done` is meaningless to a client that
     // received nothing, so report only the request leg.

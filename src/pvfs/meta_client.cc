@@ -32,7 +32,7 @@ MetaClient::MetaClient(ib::Hca& hca, sim::Engine& engine, Stats* stats,
     : hca_(hca),
       engine_(engine),
       stats_(stats),
-      faults_(faults),
+      faults_(fault::Injector::or_disabled(faults)),
       registry_(registry),
       mig_(mig) {
   // Mount-time config fetch: the cached map starts correct and free (no
@@ -44,10 +44,6 @@ MetaClient::MetaClient(ib::Hca& hca, sim::Engine& engine, Stats* stats,
     shards_.push_back(CachedShard{sh.candidates, sh.active});
   }
   version_ = registry_->version();
-}
-
-bool MetaClient::faulty() const {
-  return faults_ != nullptr && faults_->enabled();
 }
 
 void MetaClient::refresh_map() {
@@ -127,7 +123,7 @@ MetaClient::Outcome MetaClient::call(const MetaRequest& rq, TimePoint issue) {
       r = active_of(shard).serve(hca_, issue, rq);
       continue;
     }
-    if (!faulty() || !(meta_lost(r.value) || meta_redirected(r.value))) {
+    if (!meta_lost(r.value) && !meta_redirected(r.value)) {
       return {std::move(r.value), issue + r.cost};
     }
     const FaultConfig& fc = faults_->config();

@@ -95,7 +95,8 @@ class MetaClient {
  public:
   // Seeds the cached shard map from `registry` (the free mount-time config
   // fetch). `hca` is the owning client's HCA (request source and trace
-  // label); `faults` routes the retry policy (may be null). `mig` bounds
+  // label); `faults` sets the retry policy (null: the disabled injector's
+  // defaults). `mig` bounds
   // the wrong-shard re-refresh loop (MigrationParams defaults reproduce
   // the classic behaviour on the first redirect: immediate refresh, no
   // backoff).
@@ -163,7 +164,6 @@ class MetaClient {
   // Re-seed the cached map from the registry (free: redirect replies carry
   // the map, and the mount-time fetch happened before the timeline starts).
   void refresh_map();
-  bool faulty() const;
 
   ib::Hca& hca_;
   sim::Engine& engine_;

@@ -269,6 +269,27 @@ TEST(ShardedTakeover, TakeoverFencesOnlyItsOwnShard) {
   EXPECT_EQ(cluster.manager_epoch(1).value, 2u);
 }
 
+TEST(ShardedTakeover, HealthyClientFollowsDemotedManagerRedirect) {
+  // No fault plane: the takeover is driven by hand. A client whose cached
+  // map still names the demoted primary gets a "manager not active"
+  // redirect and re-aims at the promoted standby, as it does under faults.
+  ModelConfig cfg = ModelConfig::paper_defaults();
+  Cluster cluster(
+      cfg, Cluster::Topology{}.clients(1).iods(2).metadata_shards(2)
+               .standbys());
+  ASSERT_FALSE(cluster.faults().enabled());
+  Client& c = cluster.client(0);
+  const std::string name = name_on_shard(1, 2);
+  const Handle h = c.create(name).value().meta.handle;
+
+  cluster.manager_takeover(1, TimePoint::origin());
+
+  Result<OpenFile> f = c.open(name);
+  ASSERT_TRUE(f.is_ok()) << f.status().to_string();
+  EXPECT_EQ(f.value().meta.handle, h);
+  EXPECT_EQ(cluster.stats().get(stat::kPvfsMetaFailovers), 1);
+}
+
 TEST(ShardedCluster, ShardedPlaneServesListIoEndToEnd) {
   // Data-path smoke over a sharded plane: create on whatever shard the
   // name hashes to, write, read back through a different client.
