@@ -817,6 +817,70 @@ TEST(CorruptionTest, ScheduledBitFlipIsDetectedAndFailedOver) {
   EXPECT_TRUE(equal_mem(c, a, dst2, n));
 }
 
+TEST(CorruptionTest, BitFlipAfterCleanReadIsStillDetected) {
+  ModelConfig cfg = faulty_config();
+  cfg.replication.factor = 2;
+  cfg.fault.schedule.push_back(FaultEvent{
+      FaultKind::kBitFlip, TimePoint::origin() + Duration::ms(20.0), 0,
+      Duration::zero()});
+  Cluster cluster(cfg, 1, 2);
+  Client& c = cluster.client(0);
+  OpenFile f;
+  const u64 n = 32 * kKiB;
+  const u64 a = preload(cluster, &f, n);
+  // A clean read before the flip verifies every block of iod0's copy.
+  auto [r1, dst1] = read_at(cluster, f, Duration::ms(10.0), n);
+  ASSERT_TRUE(r1.ok()) << r1.status.to_string();
+  EXPECT_EQ(r1.failovers, 0u);
+  EXPECT_TRUE(equal_mem(c, a, dst1, n));
+  EXPECT_EQ(cluster.stats().get(stat::kPvfsCorruptionsDetected), 0);
+  // Having verified once must not exempt a block from the next check: the
+  // flip at rest changes its bytes, so the next read trips the checksum.
+  auto [r2, dst2] = read_at(cluster, f, Duration::ms(30.0), n);
+  ASSERT_TRUE(r2.ok()) << r2.status.to_string();
+  EXPECT_EQ(r2.failovers, 1u);
+  EXPECT_TRUE(equal_mem(c, a, dst2, n));
+  const Stats& s = cluster.stats();
+  EXPECT_EQ(s.get(stat::kFaultBitFlip), 1);
+  EXPECT_GE(s.get(stat::kPvfsCorruptionsDetected), 1);
+  EXPECT_GE(s.get(stat::kPvfsCorruptReadsFailedOver), 1);
+}
+
+TEST(CorruptionTest, BitFlipAfterOverwriteChecksLatestContent) {
+  ModelConfig cfg = faulty_config();
+  cfg.replication.factor = 2;
+  cfg.fault.schedule.push_back(FaultEvent{
+      FaultKind::kBitFlip, TimePoint::origin() + Duration::ms(20.0), 0,
+      Duration::zero()});
+  Cluster cluster(cfg, 1, 2);
+  Client& c = cluster.client(0);
+  OpenFile f;
+  const u64 n = 32 * kKiB;
+  preload(cluster, &f, n);
+  const u64 b = c.memory().alloc(n);
+  fill(c, b, n, 53);
+  IoHandle w;
+  const TimePoint at = TimePoint::origin() + Duration::ms(10.0);
+  cluster.engine().schedule_at(at, [&, at] {
+    core::ListIoRequest req;
+    req.mem = {{b, n}};
+    req.file = {{0, n}};
+    w = c.submit({IoDir::kWrite, f, req, {}, at});
+  });
+  cluster.engine().run_until([&w] { return w.valid() && w.poll(); });
+  ASSERT_TRUE(w.poll() && w.result().ok());
+  // The stamps the flip is checked against are those of the overwrite: the
+  // garbled primary fails over and the intact backup serves B, not A.
+  auto [r, dst] = read_at(cluster, f, Duration::ms(30.0), n);
+  ASSERT_TRUE(r.ok()) << r.status.to_string();
+  EXPECT_EQ(r.failovers, 1u);
+  EXPECT_TRUE(equal_mem(c, b, dst, n));
+  const Stats& s = cluster.stats();
+  EXPECT_EQ(s.get(stat::kFaultBitFlip), 1);
+  EXPECT_GE(s.get(stat::kPvfsCorruptionsDetected), 1);
+  EXPECT_GE(s.get(stat::kPvfsCorruptReadsFailedOver), 1);
+}
+
 TEST(CorruptionTest, TornWriteIsDetectedOnReadBack) {
   ModelConfig cfg = faulty_config();
   cfg.replication.factor = 2;
