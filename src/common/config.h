@@ -373,13 +373,18 @@ struct ReplicationParams {
   u64 resync_round_bytes = 256 * kKiB;
 
   // --- Integrity plane (block checksums, verify-on-read, scrubber) --------
-  // Checksum granularity inside a stripe's local file: the iod stamps one
-  // FNV-1a sum per `integrity_block_bytes`-sized block into the stripe
-  // header (format v2; v1 headers were version-only) on every applied
-  // write/repair/resync, and the read path recomputes sums over the blocks
-  // a round touches. Stamping and verification are host-side work modeled
-  // at zero simulated cost (overlapped with the disk phase), so fault-free
-  // timelines are byte-identical with checksumming always on.
+  // Checksum granularity inside a stripe's local file: the stripe header
+  // (format v2; v1 headers were version-only) keeps one FNV-1a sum per
+  // `integrity_block_bytes`-sized block. Every applied write/repair/resync
+  // marks its blocks stamped without hashing them; a block is hashed only
+  // when a fault-plane corruptor is about to garble it (from the intended
+  // bytes) and again when a read, scrub or resync check covers it
+  // afterwards, until one matches. Those corruptors are the only writers
+  // behind a stamp, so the outcome equals hashing on every apply and
+  // access, and fault-free runs hash nothing. Stamping and verification
+  // are host-side work modeled at zero simulated cost (overlapped with the
+  // disk phase), so fault-free timelines are byte-identical with
+  // checksumming always on.
   u64 integrity_block_bytes = 16 * kKiB;
   // Background scrubber: a rate-limited periodic sweep per iod that walks
   // local stripe headers, re-verifies block checksums against stored bytes

@@ -121,7 +121,7 @@ struct IoResult {
   u64 bytes = 0;
   TimePoint start = TimePoint::origin();
   TimePoint end = TimePoint::origin();
-  IoPhases phases;
+  IoPhases phases{};
   // Round retries the recovery layer spent on this operation (0 on a clean
   // run; only ever nonzero when a fault plane is active).
   u32 retries = 0;

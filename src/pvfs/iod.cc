@@ -218,9 +218,10 @@ TimePoint Iod::write_round(const RoundRequest& r, TimePoint data_ready,
   assert(phase.status.is_ok());
   phase.cost = disk_scaled(phase.cost, data_ready);
   if (disk_cost != nullptr) *disk_cost = phase.cost;
-  // Stamp block checksums from the *intended* content, then let torn/flip
-  // corruption garble the stored bytes behind the stamps — that mismatch
-  // is exactly what verify-on-read and the scrubber detect.
+  // Stamp block checksums of the *intended* content, then let torn/flip
+  // corruption garble the stored bytes behind the stamps (garble hashes
+  // the intended bytes first) — that mismatch is exactly what
+  // verify-on-read and the scrubber detect.
   stamp_round(r.handle, r.accesses, pre_size);
   if (torn) {
     corrupt_torn(r.handle, r.accesses, data_ready);
@@ -615,6 +616,33 @@ Iod::ReadService Iod::read_round(const RoundRequest& r, TimePoint start,
 
 // --- Data integrity ---------------------------------------------------------
 
+namespace {
+// Call fn(b) for each checksum block b (of `B` bytes) overlapping `ranges`
+// clipped to `size`, skipping a repeat of the block just visited; stops at
+// the first fn returning false and reports whether none did.
+template <class Fn>
+bool each_block(const ExtentList& ranges, u64 size, u64 B, Fn&& fn) {
+  u64 prev = ~u64{0};
+  for (const Extent& a : ranges) {
+    if (a.length == 0 || a.offset >= size) continue;
+    const u64 last = (a.offset + std::min(a.length, size - a.offset) - 1) / B;
+    for (u64 b = a.offset / B; b <= last; ++b) {
+      if (b == prev) continue;
+      if (!fn(b)) return false;
+      prev = b;
+    }
+  }
+  return true;
+}
+
+// Block b's stored bytes: B bytes, or fewer for the tail block.
+std::span<const std::byte> block_of(std::span<const std::byte> bytes, u64 b,
+                                    u64 B) {
+  const u64 lo = b * B;
+  return bytes.subspan(lo, std::min<u64>(B, bytes.size() - lo));
+}
+}  // namespace
+
 u64 Iod::block_checksum(std::span<const std::byte> s) {
   u64 h = 1469598103934665603ull;  // FNV-1a 64-bit
   for (const std::byte b : s) {
@@ -624,28 +652,24 @@ u64 Iod::block_checksum(std::span<const std::byte> s) {
   return h;
 }
 
+u64 Iod::block_bytes() const {
+  return std::max<u64>(1, cfg_.replication.integrity_block_bytes);
+}
+
 void Iod::stamp_round(Handle h, const ExtentList& accesses, u64 pre_size) {
-  disk::LocalFile& f = file(h);
-  const u64 B = std::max<u64>(1, cfg_.replication.integrity_block_bytes);
-  const u64 size = f.size();
+  const u64 size = file(h).size();
   if (size == 0) return;
-  std::map<u64, u64>& sums = block_sums_[h];
-  const std::span<const std::byte> bytes = f.contents();
-  auto stamp = [&](u64 off, u64 len) {
-    if (len == 0 || off >= size) return;
-    len = std::min(len, size - off);
-    const u64 first = off / B;
-    const u64 last = (off + len - 1) / B;
-    for (u64 b = first; b <= last; ++b) {
-      const u64 lo = b * B;
-      const u64 hi = std::min(lo + B, size);
-      sums[b] = block_checksum(bytes.subspan(lo, hi - lo));
-    }
+  std::map<u64, BlockSum>& sums = block_sums_[h];
+  auto mark = [&](u64 b) {
+    sums[b] = BlockSum{};
+    return true;
   };
-  for (const Extent& a : accesses) stamp(a.offset, a.length);
+  each_block(accesses, size, block_bytes(), mark);
   // Growth restamps the zero-filled gap and the old tail block, whose
   // extent (and therefore checksum) changed when the file grew.
-  if (size > pre_size) stamp(pre_size, size - pre_size);
+  if (size > pre_size) {
+    each_block({{pre_size, size - pre_size}}, size, block_bytes(), mark);
+  }
 }
 
 bool Iod::verify_ranges(Handle h, const ExtentList& accesses) {
@@ -653,26 +677,43 @@ bool Iod::verify_ranges(Handle h, const ExtentList& accesses) {
   if (bit == block_sums_.end()) return true;
   const auto fit = files_.find(h);
   if (fit == files_.end()) return true;
-  const disk::LocalFile& f = fs_.file(fit->second);
-  const u64 B = std::max<u64>(1, cfg_.replication.integrity_block_bytes);
-  const u64 size = f.size();
-  const std::span<const std::byte> bytes = f.contents();
-  for (const Extent& a : accesses) {
-    if (a.length == 0 || a.offset >= size) continue;
-    const u64 len = std::min(a.length, size - a.offset);
-    const u64 first = a.offset / B;
-    const u64 last = (a.offset + len - 1) / B;
-    for (u64 b = first; b <= last; ++b) {
-      const auto s = bit->second.find(b);
-      if (s == bit->second.end()) continue;  // pre-v2 block: trusted
-      const u64 lo = b * B;
-      const u64 hi = std::min(lo + B, size);
-      if (block_checksum(bytes.subspan(lo, hi - lo)) != s->second) {
-        return false;
-      }
+  const std::span<const std::byte> bytes = fs_.file(fit->second).contents();
+  const u64 B = block_bytes();
+  return each_block(accesses, bytes.size(), B, [&](u64 b) {
+    const auto s = bit->second.find(b);
+    // Pre-v2 blocks are trusted; pending and verified ones match by
+    // construction. Only a block a corruptor touched needs the hash.
+    if (s == bit->second.end() ||
+        s->second.state != BlockSum::State::kUnverified) {
+      return true;
     }
+    if (block_checksum(block_of(bytes, b, B)) != s->second.sum) {
+      return false;
+    }
+    s->second.state = BlockSum::State::kVerified;
+    return true;
+  });
+}
+
+void Iod::garble(Handle h, const ExtentList& ranges, std::byte mask) {
+  const std::span<std::byte> bytes = file(h).mutable_contents();
+  const auto bit = block_sums_.find(h);
+  if (bit != block_sums_.end()) {
+    const u64 B = block_bytes();
+    each_block(ranges, bytes.size(), B, [&](u64 b) {
+      const auto s = bit->second.find(b);
+      if (s == bit->second.end()) return true;  // pre-v2 block: unstamped
+      if (s->second.state == BlockSum::State::kPending) {
+        s->second.sum = block_checksum(block_of(bytes, b, B));
+      }
+      s->second.state = BlockSum::State::kUnverified;
+      return true;
+    });
   }
-  return true;
+  for (const Extent& a : ranges) {
+    const u64 end = std::min<u64>(a.offset + a.length, bytes.size());
+    for (u64 off = a.offset; off < end; ++off) bytes[off] ^= mask;
+  }
 }
 
 void Iod::corrupt_torn(Handle h, const ExtentList& accesses, TimePoint at) {
@@ -681,15 +722,14 @@ void Iod::corrupt_torn(Handle h, const ExtentList& accesses, TimePoint at) {
   // Keep a prefix of the round's stream on the platter; the torn tail
   // reads back garbled under the intact (intended-content) stamps.
   const u64 keep = faults_->draw(total);
-  std::span<std::byte> bytes = file(h).mutable_contents();
+  ExtentList tail;
   u64 pos = 0;
   for (const Extent& a : accesses) {
-    for (u64 i = 0; i < a.length; ++i, ++pos) {
-      if (pos < keep) continue;
-      const u64 off = a.offset + i;
-      if (off < bytes.size()) bytes[off] ^= std::byte{0x5a};
-    }
+    const u64 kept = pos >= keep ? 0 : std::min(a.length, keep - pos);
+    if (kept < a.length) tail.push_back({a.offset + kept, a.length - kept});
+    pos += a.length;
   }
+  garble(h, tail, std::byte{0x5a});
   sim::Trace::instance().emitf(
       at, hca_.name(),
       "torn write injected on h%llu: kept %llu of %llu B",
@@ -703,12 +743,11 @@ void Iod::corrupt_flip(Handle h, const ExtentList& accesses, TimePoint at) {
   if (total == 0) return;
   u64 pos = faults_->draw(total);
   const u32 bit = static_cast<u32>(faults_->draw(8));
-  std::span<std::byte> bytes = file(h).mutable_contents();
   for (const Extent& a : accesses) {
     if (pos < a.length) {
       const u64 off = a.offset + pos;
-      if (off < bytes.size()) {
-        bytes[off] ^= static_cast<std::byte>(1u << bit);
+      if (off < file(h).size()) {
+        garble(h, {{off, 1}}, static_cast<std::byte>(1u << bit));
         sim::Trace::instance().emitf(
             at, hca_.name(),
             "bit flip injected on h%llu at %llu (bit %u)",
@@ -726,15 +765,16 @@ void Iod::inject_bit_flip(TimePoint at) {
   // and a bit, all from the injector's seeded stream. A node with no data
   // yet absorbs the event silently (and counts nothing — the fault never
   // materialized).
-  std::vector<u32> cands;
+  std::vector<std::pair<Handle, u32>> cands;
   for (const auto& [h, fd] : files_) {
-    if (fs_.file(fd).size() > 0) cands.push_back(fd);
+    if (fs_.file(fd).size() > 0) cands.emplace_back(h, fd);
   }
   if (cands.empty()) return;
-  disk::LocalFile& f = fs_.file(cands[faults_->draw(cands.size())]);
+  const auto [h, fd] = cands[faults_->draw(cands.size())];
+  const disk::LocalFile& f = fs_.file(fd);
   const u64 off = faults_->draw(f.size());
   const u32 bit = static_cast<u32>(faults_->draw(8));
-  f.mutable_contents()[off] ^= static_cast<std::byte>(1u << bit);
+  garble(h, {{off, 1}}, static_cast<std::byte>(1u << bit));
   if (stats_ != nullptr) stats_->add(stat::kFaultBitFlip);
   sim::Trace::instance().emitf(
       at, hca_.name(), "bit flip injected at rest: %s off %llu bit %u",

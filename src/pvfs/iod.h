@@ -145,13 +145,21 @@ class Iod {
   Timed<u64> serve_resync(const ResyncRequest& rq, std::span<std::byte> dst);
 
   // --- Data integrity (stripe block checksums) --------------------------
-  // Every applied write (rounds, repairs, resync pulls) stamps an FNV-1a 64
-  // checksum per fixed-size block (ReplicationParams::integrity_block_bytes)
-  // of the touched byte ranges into the local stripe header (format v2; the
-  // version map above is format v1 and untouched, so takeover header scans
-  // are unchanged). Stamping and verify-on-read are charged zero simulated
-  // time — the hash overlaps the disk phase on real hardware — which keeps
-  // fault-free timelines byte-identical to the pre-checksum model.
+  // The local stripe header (format v2; the version map above is format v1
+  // and untouched, so takeover header scans are unchanged) holds an FNV-1a
+  // 64 checksum per fixed-size block
+  // (ReplicationParams::integrity_block_bytes). Stamps are lazy: every
+  // applied write (rounds, repairs, resync pulls) marks the blocks it
+  // touched pending without hashing, since their stored bytes are the
+  // stamped content by construction. A block is hashed only when a
+  // fault-plane corruptor is about to garble it (from the intended bytes,
+  // exactly what an eager stamp would have recorded) and when a verify
+  // covers it afterwards, until one matches. Only those corruptors change
+  // stored bytes behind a stamp, so every verify outcome equals eager
+  // stamping's, and a fault-free run hashes nothing. Stamping and
+  // verify-on-read are charged zero simulated time — the hash overlaps the
+  // disk phase on real hardware — which keeps fault-free timelines
+  // byte-identical to the pre-checksum model.
 
   // Scheduled kBitFlip hook (Cluster wires it via install_corruption_hooks):
   // flip one stored bit of one nonempty local file, both chosen by the
@@ -226,16 +234,35 @@ class Iod {
   void resync_step(std::shared_ptr<ResyncState> st);
 
   // --- Integrity internals ----------------------------------------------
+  // One block's stamp. kPending: applied since its last hash and untouched
+  // by any corruptor, so the stored bytes match the stamp by construction
+  // and `sum` is not computed. kUnverified: `sum` holds the intended
+  // content and a corruptor has changed the stored bytes since.
+  // kVerified: `sum` matched the stored bytes at the last verify and
+  // nothing has written them since.
+  struct BlockSum {
+    enum class State : u8 { kPending, kUnverified, kVerified };
+    u64 sum = 0;
+    State state = State::kPending;
+  };
   // FNV-1a 64 over a block's stored bytes.
   static u64 block_checksum(std::span<const std::byte> s);
-  // Restamp every checksum block overlapping `accesses` — plus, when the
-  // apply grew the file past `pre_size`, the zero-filled growth (whose
-  // blocks changed extent) — from the file's current contents.
+  // Checksum block size in bytes (integrity_block_bytes, at least 1).
+  u64 block_bytes() const;
+  // Mark every checksum block overlapping `accesses` — plus, when the apply
+  // grew the file past `pre_size`, the zero-filled growth (whose blocks
+  // changed extent) — pending. Hashes nothing.
   void stamp_round(Handle h, const ExtentList& accesses, u64 pre_size);
-  // Recompute the stamped checksums of every block overlapping `accesses`;
-  // false on any mismatch. Blocks without a stamp (format-v1 headers from
-  // before the apply) are trusted, so old content stays readable.
+  // Check the stamps of every block overlapping `accesses`; false on any
+  // mismatch. Only unverified blocks are hashed, at most once per call; a
+  // match marks them verified. Blocks without a stamp (format-v1 headers
+  // from before the apply) are trusted, so old content stays readable.
   bool verify_ranges(Handle h, const ExtentList& accesses);
+  // The one writer of stored bytes behind the checksums: XOR `mask` into
+  // every stored byte of `ranges` (clipped to EOF). Pending blocks it is
+  // about to change are hashed first, from the intended bytes; every
+  // stamped block it touches is left unverified.
+  void garble(Handle h, const ExtentList& ranges, std::byte mask);
   // Corruption appliers (write_round, after stamping the intended bytes):
   // garble a suffix of the round's stored byte ranges / flip one stored bit
   // inside them. The injector's draws pick the split point and the bit.
@@ -270,10 +297,9 @@ class Iod {
   // populated by versioned (replicated) writes; empty at factor 1.
   std::map<Handle, u64> stripe_version_;
   // Per-block checksums per local file (header format v2): block index ->
-  // FNV-1a 64 of the block's stored bytes. Kept as if durable, beside the
-  // version headers. Every applied write stamps; reads and the scrubber
-  // verify.
-  std::map<Handle, std::map<u64, u64>> block_sums_;
+  // stamp (see BlockSum). Kept as if durable, beside the version headers.
+  // Every applied write stamps; reads, the scrubber and resync verify.
+  std::map<Handle, std::map<u64, BlockSum>> block_sums_;
   // Highest manager epoch this iod has been told about, per metadata shard
   // (empty/0 until a takeover sweep; the fence in write_round only engages
   // for versioned rounds that carry an older, non-zero epoch of their
