@@ -101,6 +101,17 @@ TEST(AddressSpace, DataReadWrite) {
   EXPECT_EQ(as.readable_span(a, 16)[0], std::byte{42});
 }
 
+// A span handed out for one allocation keeps addressing that allocation's
+// bytes after a later, much larger allocation.
+TEST(AddressSpace, SpanStaysValidAcrossLaterAlloc) {
+  AddressSpace as;
+  const u64 a = as.alloc(kPageSize);
+  const std::span<std::byte> span = as.writable_span(a, 16);
+  as.alloc(64 * kMiB);
+  span[3] = std::byte{42};
+  EXPECT_EQ(as.read_pod<u8>(a + 3), 42);
+}
+
 TEST(AddressSpace, BytesMapped) {
   AddressSpace as;
   as.alloc(10);  // one page
