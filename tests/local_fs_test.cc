@@ -190,6 +190,36 @@ TEST_F(LocalFsTest, PartialCacheHitMixesCosts) {
   EXPECT_EQ(missed, static_cast<i64>(n / 2));
 }
 
+// A sparse file's holes have no blocks: a cold read charges the media only
+// for the pages that were written, through the page cache and with O_DIRECT
+// alike, and a read wholly inside a hole charges no media at all.
+TEST_F(LocalFsTest, ColdReadChargesMediaOnlyForWrittenPages) {
+  const u32 fd = fs_.create("f").value();
+  LocalFile& f = fs_.file(fd);
+  f.pwrite(100, pattern(10));                     // page 0
+  f.pwrite(5 * kPageSize + 4000, pattern(200));   // pages 5 and 6
+  f.pwrite(20 * kPageSize, pattern(kPageSize));   // page 20
+  ASSERT_EQ(f.size(), 21 * kPageSize);
+  fs_.drop_caches();
+  std::vector<std::byte> whole(f.size());
+  std::vector<std::byte> hole(4 * kPageSize);
+  for (const IoOpts opts : {IoOpts{}, IoOpts{.direct = true}}) {
+    fs_.cache().drop_all();
+    i64 before = stats_.get(stat::kDiskReadBytes);
+    ASSERT_EQ(f.pread(0, whole, opts).value, f.size());
+    EXPECT_EQ(stats_.get(stat::kDiskReadBytes) - before,
+              static_cast<i64>(4 * kPageSize))
+        << "direct=" << opts.direct;
+
+    fs_.cache().drop_all();
+    before = stats_.get(stat::kDiskReadBytes);
+    ASSERT_EQ(f.pread(8 * kPageSize, hole, opts).value, hole.size());
+    EXPECT_EQ(stats_.get(stat::kDiskReadBytes), before)
+        << "direct=" << opts.direct;
+    for (const std::byte b : hole) ASSERT_EQ(b, std::byte{0});
+  }
+}
+
 // Property: arbitrary interleavings of writes and reads always round-trip
 // (the file behaves like a byte array), regardless of cache state.
 TEST_F(LocalFsTest, RandomAccessConsistency) {
