@@ -1,7 +1,6 @@
 #include "disk/local_fs.h"
 
 #include <cassert>
-#include <cstring>
 
 namespace pvfsib::disk {
 
@@ -26,13 +25,11 @@ Timed<u64> LocalFile::pread(u64 off, std::span<std::byte> dst, IoOpts opts) {
   Duration cost = fs_->fs_params().read_overhead + seek_syscall_cost(off);
   if (fs_->stats() != nullptr) fs_->stats()->add(stat::kDiskRead);
 
-  const u64 n = off >= content_.size()
-                    ? 0
-                    : std::min<u64>(dst.size(), content_.size() - off);
+  const u64 n = off >= size_ ? 0 : std::min<u64>(dst.size(), size_ - off);
   if (n > 0) {
     const Extent window{off, n};
     if (opts.direct) {
-      for (const Extent& blk : written_within(off, n)) {
+      for (const Extent& blk : bytes_.mapped_within(window)) {
         cost += fs_->disk_.read(disk_base_ + blk.offset, blk.length);
       }
     } else {
@@ -46,10 +43,9 @@ Timed<u64> LocalFile::pread(u64 off, std::span<std::byte> dst, IoOpts opts) {
         // allocated blocks touch the media — sparse holes materialize as
         // zero pages straight from the block map.
         const u64 lo = page_floor(miss.offset);
-        const u64 hi = std::min<u64>(page_ceil(miss.end()),
-                                     page_ceil(content_.size()));
+        const u64 hi = std::min(page_ceil(miss.end()), page_ceil(size_));
         if (lo >= hi) continue;
-        for (const Extent& blk : written_within(lo, hi - lo)) {
+        for (const Extent& blk : bytes_.mapped_within({lo, hi - lo})) {
           cost += fs_->disk_.read(disk_base_ + page_floor(blk.offset),
                                   page_ceil(blk.end()) -
                                       page_floor(blk.offset));
@@ -64,7 +60,7 @@ Timed<u64> LocalFile::pread(u64 off, std::span<std::byte> dst, IoOpts opts) {
                           static_cast<i64>(n - hit_bytes));
       }
     }
-    std::memcpy(dst.data(), content_.data() + off, n);
+    bytes_.read(off, dst.first(n));
   }
   logical_pos_ = off + n;
   return {n, cost};
@@ -77,9 +73,8 @@ Timed<u64> LocalFile::pwrite(u64 off, std::span<const std::byte> src,
 
   const u64 n = src.size();
   if (n > 0) {
-    if (content_.size() < off + n) content_.resize(off + n);
-    std::memcpy(content_.data() + off, src.data(), n);
-    mark_written(off, n);
+    size_ = std::max(size_, off + n);
+    bytes_.write(off, src);
 
     if (opts.direct) {
       cost += fs_->disk_.write(disk_base_ + off, n);
@@ -105,51 +100,22 @@ Duration LocalFile::fsync() {
       coalesce(fs_->cache_.flush_dirty(id_), /*merge_gap=*/64 * kKiB);
   for (const Extent& run : runs) {
     const u64 lo = run.offset;
-    const u64 hi = std::min<u64>(run.end(), page_ceil(content_.size()));
+    const u64 hi = std::min(run.end(), page_ceil(size_));
     if (lo >= hi) continue;
     cost += fs_->disk_.write(disk_base_ + lo, hi - lo);
   }
   return cost;
 }
 
-void LocalFile::mark_written(u64 off, u64 len) {
-  // Block (page) granular, merged — mirrors AddressSpace::insert_extent.
-  u64 lo = page_floor(off);
-  u64 hi = page_ceil(off + len);
-  auto it = written_.upper_bound(lo);
-  if (it != written_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->first + prev->second >= lo) {
-      lo = prev->first;
-      hi = std::max(hi, prev->first + prev->second);
-      written_.erase(prev);
-    }
-  }
-  it = written_.lower_bound(lo);
-  while (it != written_.end() && it->first <= hi) {
-    hi = std::max(hi, it->first + it->second);
-    it = written_.erase(it);
-  }
-  written_[lo] = hi - lo;
-}
-
-ExtentList LocalFile::written_within(u64 off, u64 len) const {
-  ExtentList out;
-  if (len == 0) return out;
-  auto it = written_.upper_bound(off);
-  if (it != written_.begin()) --it;
-  for (; it != written_.end() && it->first < off + len; ++it) {
-    const u64 lo = std::max(off, it->first);
-    const u64 hi = std::min(off + len, it->first + it->second);
-    if (lo < hi) out.push_back({lo, hi - lo});
-  }
+std::vector<std::byte> LocalFile::contents() const {
+  std::vector<std::byte> out(size_);
+  bytes_.read(0, out);
   return out;
 }
 
 Duration LocalFile::purge() {
-  content_.clear();
-  content_.shrink_to_fit();
-  written_.clear();
+  size_ = 0;
+  bytes_ = {};
   fs_->cache_.drop(id_);  // dirty pages of a deleted file are discarded
   logical_pos_ = 0;
   return fs_->fs_params().write_overhead;  // the unlink metadata update

@@ -15,6 +15,7 @@
 
 #include "common/config.h"
 #include "common/sim_time.h"
+#include "common/sparse_bytes.h"
 #include "common/stats.h"
 #include "common/status.h"
 #include "disk/disk.h"
@@ -55,18 +56,20 @@ class LocalFile {
   Duration unlock_range(u64 lock_id);
   bool range_locked(const Extent& range) const;
 
-  u64 size() const { return content_.size(); }
+  u64 size() const { return size_; }
   u32 id() const { return id_; }
   const std::string& path() const { return path_; }
 
-  // Direct access to contents for test verification (no cost, no stats).
-  std::span<const std::byte> contents() const { return content_; }
+  // A copy of the contents for test verification (no cost, no stats).
+  std::vector<std::byte> contents() const;
 
-  // Mutable view for the fault plane only: silent-corruption injection
-  // (bit flips, torn-write garbling) mutates stored bytes behind the
-  // checksum machinery's back. No cost, no stats, no cache interaction —
-  // exactly what "silent" means. Never used by the regular I/O path.
-  std::span<std::byte> mutable_contents() { return content_; }
+  // The stored bytes, without cost, stats or cache interaction. Mapped pages
+  // are the file's allocated blocks. The integrity plane reads block bytes
+  // here, and the fault plane's silent corruption (bit flips, torn-write
+  // garbling) writes here behind the checksums' back; the regular I/O path
+  // never does.
+  SparseBytes& stored() { return bytes_; }
+  const SparseBytes& stored() const { return bytes_; }
 
   // Release the file's blocks and cached pages (unlink's data side).
   // Returns the (small) cost of the metadata update.
@@ -80,21 +83,16 @@ class LocalFile {
   Duration seek_syscall_cost(u64 off);
   Duration writeback(const std::vector<PageKey>& pages);
 
-  // Mark [off, off+len) as having allocated blocks.
-  void mark_written(u64 off, u64 len);
-  // Portions of [off, off+len) backed by allocated blocks, sorted.
-  ExtentList written_within(u64 off, u64 len) const;
-
   LocalFs* fs_;
   u32 id_;
   std::string path_;
   u64 disk_base_;  // position of byte 0 on the platter
   u64 logical_pos_ = 0;
   bool locked_ = false;
-  std::vector<std::byte> content_;
-  // Allocated block ranges: reading a hole inside a sparse file returns
-  // zeros straight from the block map, without any media access.
-  std::map<u64, u64> written_;
+  u64 size_ = 0;
+  // Written pages are allocated blocks: reading a hole inside a sparse file
+  // returns zeros straight from the block map, without any media access.
+  SparseBytes bytes_;
   // Active byte-range locks: id -> extent.
   std::map<u64, Extent> range_locks_;
   u64 next_lock_id_ = 1;

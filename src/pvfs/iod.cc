@@ -635,11 +635,11 @@ bool each_block(const ExtentList& ranges, u64 size, u64 B, Fn&& fn) {
   return true;
 }
 
-// Block b's stored bytes: B bytes, or fewer for the tail block.
-std::span<const std::byte> block_of(std::span<const std::byte> bytes, u64 b,
-                                    u64 B) {
-  const u64 lo = b * B;
-  return bytes.subspan(lo, std::min<u64>(B, bytes.size() - lo));
+// A copy of block b's stored bytes: B bytes, or fewer for the tail block.
+std::vector<std::byte> block_of(const disk::LocalFile& f, u64 b, u64 B) {
+  std::vector<std::byte> out(std::min<u64>(B, f.size() - b * B));
+  f.stored().read(b * B, out);
+  return out;
 }
 }  // namespace
 
@@ -677,9 +677,9 @@ bool Iod::verify_ranges(Handle h, const ExtentList& accesses) {
   if (bit == block_sums_.end()) return true;
   const auto fit = files_.find(h);
   if (fit == files_.end()) return true;
-  const std::span<const std::byte> bytes = fs_.file(fit->second).contents();
+  const disk::LocalFile& f = fs_.file(fit->second);
   const u64 B = block_bytes();
-  return each_block(accesses, bytes.size(), B, [&](u64 b) {
+  return each_block(accesses, f.size(), B, [&](u64 b) {
     const auto s = bit->second.find(b);
     // Pre-v2 blocks are trusted; pending and verified ones match by
     // construction. Only a block a corruptor touched needs the hash.
@@ -687,7 +687,7 @@ bool Iod::verify_ranges(Handle h, const ExtentList& accesses) {
         s->second.state != BlockSum::State::kUnverified) {
       return true;
     }
-    if (block_checksum(block_of(bytes, b, B)) != s->second.sum) {
+    if (block_checksum(block_of(f, b, B)) != s->second.sum) {
       return false;
     }
     s->second.state = BlockSum::State::kVerified;
@@ -696,23 +696,27 @@ bool Iod::verify_ranges(Handle h, const ExtentList& accesses) {
 }
 
 void Iod::garble(Handle h, const ExtentList& ranges, std::byte mask) {
-  const std::span<std::byte> bytes = file(h).mutable_contents();
+  disk::LocalFile& f = file(h);
   const auto bit = block_sums_.find(h);
   if (bit != block_sums_.end()) {
     const u64 B = block_bytes();
-    each_block(ranges, bytes.size(), B, [&](u64 b) {
+    each_block(ranges, f.size(), B, [&](u64 b) {
       const auto s = bit->second.find(b);
       if (s == bit->second.end()) return true;  // pre-v2 block: unstamped
       if (s->second.state == BlockSum::State::kPending) {
-        s->second.sum = block_checksum(block_of(bytes, b, B));
+        s->second.sum = block_checksum(block_of(f, b, B));
       }
       s->second.state = BlockSum::State::kUnverified;
       return true;
     });
   }
+  // A garbled byte inside a hole maps its page, so the damage persists.
   for (const Extent& a : ranges) {
-    const u64 end = std::min<u64>(a.offset + a.length, bytes.size());
-    for (u64 off = a.offset; off < end; ++off) bytes[off] ^= mask;
+    if (a.offset >= f.size()) continue;
+    std::vector<std::byte> bytes(std::min(a.length, f.size() - a.offset));
+    f.stored().read(a.offset, bytes);
+    for (std::byte& x : bytes) x ^= mask;
+    f.stored().write(a.offset, bytes);
   }
 }
 

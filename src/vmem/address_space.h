@@ -8,17 +8,17 @@
 // unallocated pages, and querying true allocation extents (the custom
 // kernel syscall vs reading /proc/$pid/maps).
 //
-// Allocations carry real backing bytes (one flat arena indexed by virtual
-// address) so that RDMA operations move actual data and end-to-end tests can
-// verify byte-exact results.
+// Each allocation is one run of a SparseBytes store holding real bytes, so
+// RDMA operations move actual data and end-to-end tests can verify
+// byte-exact results. A run never moves: pointers and spans into an
+// allocation stay valid until it is freed, whatever is allocated later.
 #pragma once
 
 #include <cstring>
-#include <map>
 #include <span>
-#include <vector>
 
 #include "common/extent.h"
+#include "common/sparse_bytes.h"
 #include "common/status.h"
 #include "common/types.h"
 
@@ -58,41 +58,37 @@ class AddressSpace {
   // All mapped extents (for diagnostics/tests).
   ExtentList allocated_extents() const;
 
-  u64 bytes_mapped() const;
+  u64 bytes_mapped() const { return bytes_.bytes(); }
 
   // --- Backing data access -------------------------------------------------
-  // Unchecked raw access; `addr` need not be mapped (holes are readable
-  // garbage, as on a real machine they'd fault — asserts in debug builds
-  // guard the mapped paths that matter).
-  std::byte* data(u64 addr);
-  const std::byte* data(u64 addr) const;
+  // Raw access into the allocation holding `addr`. A pointer or span is valid
+  // for the rest of that allocation only; one that touches a hole or crosses
+  // into another allocation is an assert (on a real machine it would fault).
+  std::byte* data(u64 addr) { return bytes_.span(addr, 0).data(); }
+  const std::byte* data(u64 addr) const { return bytes_.span(addr, 0).data(); }
 
-  std::span<std::byte> writable_span(u64 addr, u64 len);
-  std::span<const std::byte> readable_span(u64 addr, u64 len) const;
+  std::span<std::byte> writable_span(u64 addr, u64 len) {
+    return bytes_.span(addr, len);
+  }
+  std::span<const std::byte> readable_span(u64 addr, u64 len) const {
+    return bytes_.span(addr, len);
+  }
 
   // Convenience typed accessors for tests/workloads.
   template <typename T>
   T read_pod(u64 addr) const {
     T v;
-    std::memcpy(&v, data(addr), sizeof(T));
+    std::memcpy(&v, readable_span(addr, sizeof(T)).data(), sizeof(T));
     return v;
   }
   template <typename T>
   void write_pod(u64 addr, const T& v) {
-    std::memcpy(data(addr), &v, sizeof(T));
+    std::memcpy(writable_span(addr, sizeof(T)).data(), &v, sizeof(T));
   }
 
  private:
-  void ensure_backing(u64 end_addr);
-  // Insert [start,len) into the allocation map, merging neighbours.
-  void insert_extent(u64 start, u64 len);
-
-  // Mapped extents: start -> length, page-granular, disjoint, merged.
-  std::map<u64, u64> mapped_;
-  // Original allocations (for free_at): start -> page-rounded length.
-  std::map<u64, u64> allocations_;
   u64 cursor_ = kBaseVaddr;
-  std::vector<std::byte> backing_;  // index = vaddr - kBaseVaddr
+  SparseBytes bytes_;  // one run per allocation
 };
 
 }  // namespace pvfsib::vmem

@@ -163,11 +163,11 @@ TEST(CorruptionProperty, RandomCorruptionSchedulesLoseNoAckedData) {
     EXPECT_GE(s.get(stat::kPvfsCorruptionsRepaired), 1);
 
     // Property 3: both physical copies healed back to the mirror.
-    const std::span<const std::byte> prim = cluster.iod(x).file(h).contents();
+    const std::vector<std::byte> prim = cluster.iod(x).file(h).contents();
     ASSERT_GE(prim.size(), n);
     EXPECT_EQ(std::memcmp(prim.data(), mirror.data(), n), 0)
         << "primary copy still rotten";
-    const std::span<const std::byte> back =
+    const std::vector<std::byte> back =
         cluster.iod(y).file(backup_handle(h, 0)).contents();
     ASSERT_GE(back.size(), n);
     EXPECT_EQ(std::memcmp(back.data(), mirror.data(), n), 0)

@@ -487,7 +487,7 @@ TEST(VersionPlaneTest, ReadRepairHealsStaleReplicaContent) {
   // The repair scattered the just-read bytes into iod0's local file and
   // merged the header.
   EXPECT_EQ(s.cluster->iod(0).stripe_version(h), 2u);
-  const std::span<const std::byte> healed =
+  const std::vector<std::byte> healed =
       s.cluster->iod(0).file(h).contents();
   ASSERT_GE(healed.size(), StalePrimary::kN);
   EXPECT_EQ(std::memcmp(healed.data(), c.memory().data(s.b),
@@ -966,7 +966,7 @@ TEST(CorruptionTest, ScrubberFindsAndRepairsAtRestCorruption) {
   // is the one event allowed to clear the corrupt flag.
   EXPECT_GE(s.get(stat::kPvfsResyncStripes), 1);
   EXPECT_GE(s.get(stat::kPvfsCorruptionsRepaired), 1);
-  const std::span<const std::byte> healed =
+  const std::vector<std::byte> healed =
       cluster.iod(0).file(f.meta.handle).contents();
   ASSERT_GE(healed.size(), n);
   EXPECT_EQ(std::memcmp(healed.data(), c.memory().data(a), n), 0);
@@ -1010,7 +1010,7 @@ TEST(CorruptionTest, ScrubberDetectsLostWriteViaHeaderCrossCheck) {
   EXPECT_GE(s.get(stat::kPvfsScrubStaleHeaders), 1);
   EXPECT_GE(s.get(stat::kPvfsResyncStripes), 1);
   EXPECT_EQ(cluster.iod(0).stripe_version(f.meta.handle), 2u);
-  const std::span<const std::byte> healed =
+  const std::vector<std::byte> healed =
       cluster.iod(0).file(f.meta.handle).contents();
   ASSERT_GE(healed.size(), n);
   EXPECT_EQ(std::memcmp(healed.data(), c.memory().data(b), n), 0);
