@@ -482,7 +482,8 @@ void Client::start_flush(Handle h, IoCallback done) {
       static_cast<unsigned long long>(total), runs->size());
   start_op(
       file, req, IoOptions{}, max(now_, engine_.now()), /*is_write=*/true,
-      [this, h, runs, done = std::move(done)](IoResult r) {
+      [this, h, runs, scratch, done = std::move(done)](IoResult r) {
+        (void)as_.free_at(scratch);
         if (r.ok()) {
           Manager& auth = meta_.authority(h);
           const auto tags = [&](u32 stripe, u64* seq, u64* version) {

@@ -326,6 +326,31 @@ TEST(CacheTest, WriteBackStalenessBoundAutoFlushes) {
   }
 }
 
+// A write-back flush stages its payload in client memory like any write
+// op; the staging is released when the flush completes, so repeated
+// flushes do not grow the client's mapped memory.
+TEST(CacheTest, WriteBackFlushesReleaseTheirStaging) {
+  ModelConfig cfg = cache_cfg();
+  cfg.cache.write_back = true;
+  cfg.cache.staleness_bound = Duration::ms(10'000.0);  // flush by hand only
+  Cluster cluster(cfg, 1, 2);
+  Client& c = cluster.client(0);
+  OpenFile f = c.create("/wb-staging").value();
+  const u64 n = 48 * kKiB;
+  const u64 src = c.memory().alloc(n);
+  fill(c, src, n, 45);
+  u64 mapped_after_first = 0;
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(c.write(f, static_cast<u64>(i) * n, src, n).ok());
+    ASSERT_TRUE(c.data_cache().has_dirty(f.meta.handle));
+    const IoResult fl = c.flush(f);
+    ASSERT_TRUE(fl.ok()) << fl.status.to_string();
+    ASSERT_FALSE(c.data_cache().has_dirty(f.meta.handle));
+    if (i == 0) mapped_after_first = c.memory().bytes_mapped();
+    EXPECT_EQ(c.memory().bytes_mapped(), mapped_after_first) << "flush " << i;
+  }
+}
+
 TEST(CacheTest, NoteVersionDropsConflictingEntry) {
   // Direct unit test of the version-tag plane: an entry tagged with an
   // older stripe version than a note_replica_version conflict reports is
