@@ -338,9 +338,6 @@ struct ReplicationParams {
   // (durable but a crashed backup stalls the round until it restarts or the
   // budget runs out). 1 trades durability for availability.
   u32 write_quorum = 0;
-  // Reads re-route the remaining rounds of a chain to the next live replica
-  // when the serving iod exhausts its retry budget.
-  bool read_failover = true;
 
   // --- Version plane (per-stripe versions, read-repair, resync) -----------
   // Every replicated write round carries a monotonically increasing

@@ -1025,8 +1025,7 @@ void Client::settle_round(std::shared_ptr<OpState> op, u32 iod_idx,
 
 bool Client::can_fail_over(const OpState& op, u32 iod_idx,
                            const RoundTry& tr) const {
-  return !op.is_write && cfg_.replication.read_failover &&
-         tr.failovers + 1 < op.replica_sets[iod_idx].size();
+  return !op.is_write && tr.failovers + 1 < op.replica_sets[iod_idx].size();
 }
 
 void Client::fail_over_read(std::shared_ptr<OpState> op, u32 iod_idx,
@@ -1108,7 +1107,7 @@ void Client::retry_or_fail(std::shared_ptr<OpState> op, u32 iod_idx,
                      " failing over iod" + std::to_string(from_iod) + " ->");
       return;
     }
-    if (!op->is_write && cfg_.replication.read_failover && set.size() > 1) {
+    if (!op->is_write && set.size() > 1) {
       // Failover ran out of replicas: every member of the chain burned a
       // full retry budget. Distinct terminal status so callers can tell
       // "the whole chain is gone" from a single overloaded server.

@@ -392,8 +392,8 @@ class Client {
   void retry_or_fail(std::shared_ptr<OpState> op, u32 iod_idx,
                      size_t round_idx, std::shared_ptr<RoundTry> tr,
                      TimePoint t, Status why);
-  // May this read round move to another replica of its chain? (Failover
-  // is on and some replica has not yet been tried.)
+  // May this read round move to another replica of its chain? (Some
+  // replica has not yet been tried.)
   bool can_fail_over(const OpState& op, u32 iod_idx,
                      const RoundTry& tr) const;
   // Re-route read round `round_idx` — and the chain's remaining rounds —
