@@ -37,7 +37,8 @@ Status AddressSpace::free_at(u64 vaddr) {
 
 bool AddressSpace::range_allocated(u64 addr, u64 len) const {
   if (len == 0) return true;
-  const Extent pages{page_floor(addr), page_ceil(addr + len) - page_floor(addr)};
+  const u64 lo = page_floor(addr);
+  const Extent pages{lo, page_ceil(addr + len) - lo};
   // Touching runs report as one extent, so it must cover every page.
   const ExtentList m = bytes_.mapped_within(pages);
   return m.size() == 1 && m[0] == pages;
