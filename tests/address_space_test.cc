@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "resident_pages.h"
 
 namespace pvfsib::vmem {
 namespace {
@@ -118,6 +119,22 @@ TEST(AddressSpace, BytesMapped) {
   as.skip(kPageSize);
   as.alloc(kPageSize + 1);  // two pages
   EXPECT_EQ(as.bytes_mapped(), 3 * kPageSize);
+}
+
+// An allocation holds no host memory until the simulation touches it, also
+// after earlier spaces freed theirs: a heap allocator would hand back
+// recycled (resident) memory and zero it.
+TEST(AddressSpace, UntouchedAllocationsStayNonResident) {
+  constexpr u64 kCount = 64;
+  constexpr u64 kSize = 4 * kMiB;
+  for (int round = 0; round < 4; ++round) {
+    AddressSpace as;
+    u64 resident = 0;
+    for (u64 i = 0; i < kCount; ++i) {
+      resident += resident_pages(as.data(as.alloc(kSize)), kSize);
+    }
+    EXPECT_EQ(resident, 0u) << "round " << round;
+  }
 }
 
 // Property: after random alloc/skip/free sequences, range_allocated agrees
