@@ -1,6 +1,9 @@
 #include "common/sparse_bytes.h"
 
+#include <sys/mman.h>
+
 #include <cassert>
+#include <cstdlib>
 #include <cstring>
 #include <new>
 #include <utility>
@@ -15,18 +18,41 @@ void SparseBytes::each_overlap(u64 off, u64 len, Fn&& fn) const {
   for (; it != runs_.end() && it->first < end; ++it) {
     const u64 lo = std::max(off, it->first);
     const u64 hi = std::min(end, it->first + it->second.len);
-    if (lo < hi) fn(it->second.data.get() + (lo - it->first), lo, hi - lo);
+    if (lo < hi) fn(it->second.data + (lo - it->first), lo, hi - lo);
   }
 }
 
-void SparseBytes::map(u64 off, u64 len) {
+SparseBytes::Run::Run(u64 n, Source src) : len(n), source(src) {
+  void* p = nullptr;
+  if (source == Source::kMmap) {
+    p = mmap(nullptr, len, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
+             -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+  } else {
+    p = std::calloc(len, 1);
+    if (p == nullptr) throw std::bad_alloc();
+  }
+  data = static_cast<std::byte*>(p);
+}
+
+SparseBytes::Run::~Run() {
+  if (source == Source::kMmap) {
+    munmap(data, len);
+  } else {
+    std::free(data);
+  }
+}
+
+void SparseBytes::add_run(u64 off, u64 len, Run::Source source) {
   const u64 lo = page_floor(off);
   const u64 hi = page_ceil(off + len);
   assert(lo < hi && mapped_within({lo, hi - lo}).empty());
-  auto* p = static_cast<std::byte*>(std::calloc(hi - lo, 1));
-  if (p == nullptr) throw std::bad_alloc();
-  runs_.emplace(lo, Run{hi - lo, {p, Free{}}});
+  runs_.try_emplace(lo, hi - lo, source);
   bytes_ += hi - lo;
+}
+
+void SparseBytes::map(u64 off, u64 len) {
+  add_run(off, len, Run::Source::kMmap);
 }
 
 bool SparseBytes::unmap(u64 off) {
@@ -40,7 +66,7 @@ bool SparseBytes::unmap(u64 off) {
 void SparseBytes::write(u64 off, std::span<const std::byte> src) {
   const Extent w{off, src.size()};
   for (const Extent& gap : holes_within(w, mapped_within(w))) {
-    map(gap.offset, gap.length);
+    add_run(gap.offset, gap.length, Run::Source::kCalloc);
   }
   each_overlap(off, src.size(), [&](std::byte* p, u64 lo, u64 n) {
     std::memcpy(p, src.data() + (lo - off), n);
@@ -64,7 +90,7 @@ std::span<const std::byte> SparseBytes::span(u64 off, u64 len) const {
   --it;
   assert(off + len <= it->first + it->second.len &&
          "span touches a hole or crosses into another run");
-  return {it->second.data.get() + (off - it->first), len};
+  return {it->second.data + (off - it->first), len};
 }
 
 std::span<std::byte> SparseBytes::span(u64 off, u64 len) {

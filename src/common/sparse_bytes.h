@@ -3,14 +3,20 @@
 // Process memory (vmem::AddressSpace) and iod files (disk::LocalFile) both
 // model page-granular allocation: OGR registers around unmapped holes, and
 // reading a hole of a sparse ext3 file costs no media time. The store keeps
-// disjoint, page-aligned runs, each one zero-initialized heap block from
-// calloc, so untouched pages of a large run never become resident and a run
-// never moves once mapped. Bytes outside every run read as zero.
+// disjoint, page-aligned runs of zero-filled bytes. A run never moves once
+// mapped, and bytes outside every run read as zero.
+//
+// How a run is backed follows its role. An explicit map() (an AddressSpace
+// allocation, such as an iod's 4 MiB staging buffer) is its own anonymous
+// mmap, so only the pages the simulation touches become resident and unmap
+// hands them back to the kernel. A heap block would not do: once glibc has
+// freed one large chunk it raises its mmap threshold, and later large
+// callocs are carved from recycled heap and memset in full. The pages that
+// write() maps for a gap (a file's written blocks, mostly one page each)
+// are calloc blocks, where a syscall and a VMA per page would cost more.
 #pragma once
 
-#include <cstdlib>
 #include <map>
-#include <memory>
 #include <span>
 
 #include "common/extent.h"
@@ -20,14 +26,15 @@ namespace pvfsib {
 
 class SparseBytes {
  public:
-  // Map the pages of [off, off+len) as one zero-filled run; they must not
-  // overlap an existing run.
+  // Map the pages of [off, off+len) as one zero-filled run with its own
+  // anonymous mapping; they must not overlap an existing run.
   void map(u64 off, u64 len);
 
   // Unmap the run that starts exactly at `off`; false when there is none.
   bool unmap(u64 off);
 
-  // Copy src to `off`, first mapping the pages of any gap it covers.
+  // Copy src to `off`, first mapping the pages of any gap it covers (each
+  // gap one heap run).
   void write(u64 off, std::span<const std::byte> src);
 
   // Copy [off, off+dst.size()) into dst; gaps read as zero.
@@ -44,13 +51,21 @@ class SparseBytes {
   u64 bytes() const { return bytes_; }
 
  private:
-  struct Free {
-    void operator()(std::byte* p) const { std::free(p); }
-  };
+  // `len` zero-filled bytes at `data`, released the way they were obtained.
   struct Run {
-    u64 len = 0;
-    std::unique_ptr<std::byte, Free> data;
+    enum class Source { kMmap, kCalloc };
+    Run(u64 len, Source source);  // throws std::bad_alloc
+    ~Run();
+    Run(const Run&) = delete;
+    Run& operator=(const Run&) = delete;
+
+    u64 len;
+    Source source;
+    std::byte* data;
   };
+
+  // Add the pages of [off, off+len) as one run; they must be unmapped.
+  void add_run(u64 off, u64 len, Run::Source source);
 
   // Calls fn(run bytes at lo, lo, n) for each run's overlap [lo, lo+n) with
   // [off, off+len), in address order.
