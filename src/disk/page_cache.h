@@ -47,17 +47,15 @@ class PageCache {
   u64 capacity_pages() const { return capacity_pages_; }
 
  private:
-  struct Entry {
-    bool dirty = false;
-    std::list<PageKey>::iterator lru_it;
-  };
+  using Lru = std::list<PageKey>;  // front = most recent
 
-  void touch(std::map<PageKey, Entry>::iterator it);
+  void touch(std::map<PageKey, Lru::iterator>::iterator it);
 
   DiskParams params_;
   u64 capacity_pages_ = 0;
-  std::map<PageKey, Entry> entries_;
-  std::list<PageKey> lru_;  // front = most recent
+  std::map<PageKey, Lru::iterator> entries_;
+  std::set<PageKey> dirty_;  // the dirty subset of entries_
+  Lru lru_;
 };
 
 }  // namespace pvfsib::disk

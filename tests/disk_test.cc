@@ -130,5 +130,66 @@ TEST(PageCache, DropFileDiscardsAndReportsDirty) {
   EXPECT_EQ(c.pages_cached(), 0u);
 }
 
+// A dirty page that eviction already handed back for write-back is not
+// flushed again by the next fsync.
+TEST(PageCache, FlushSkipsEvictedDirtyPages) {
+  DiskParams p;
+  p.cache_capacity = 4 * kPageSize;
+  PageCache c(p);
+  c.insert(0, 0, 2, true);
+  c.insert(0, 2, 2, true);
+  ASSERT_EQ(c.insert(0, 4, 2, false).size(), 2u);  // evicts pages 0, 1
+  const ExtentList dirty = c.flush_dirty(0);
+  ASSERT_EQ(dirty.size(), 1u);
+  EXPECT_EQ(dirty[0], (Extent{2 * kPageSize, 2 * kPageSize}));
+  // Re-reading an evicted page brings it back clean.
+  c.insert(0, 0, 1, false);
+  EXPECT_TRUE(c.flush_dirty(0).empty());
+}
+
+TEST(PageCache, FlushAfterDropFindsNothing) {
+  PageCache c(DiskParams{});
+  c.insert(0, 0, 3, true);
+  c.insert(1, 5, 1, true);
+  ASSERT_EQ(c.drop(0).size(), 3u);
+  EXPECT_TRUE(c.flush_dirty(0).empty());
+  // The other file's dirty page survives the drop.
+  const ExtentList other = c.flush_dirty(1);
+  ASSERT_EQ(other.size(), 1u);
+  EXPECT_EQ(other[0], (Extent{5 * kPageSize, kPageSize}));
+}
+
+TEST(PageCache, FlushAfterDropAllFindsNothing) {
+  PageCache c(DiskParams{});
+  c.insert(0, 0, 2, true);
+  c.insert(1, 0, 2, true);
+  const std::vector<PageKey> dirty = c.drop_all();
+  ASSERT_EQ(dirty.size(), 4u);
+  EXPECT_EQ(dirty.front(), (PageKey{0, 0}));
+  EXPECT_EQ(dirty.back(), (PageKey{1, 1}));
+  EXPECT_TRUE(c.flush_dirty(0).empty());
+  EXPECT_TRUE(c.flush_dirty(1).empty());
+  // A page written after the drop is dirty again.
+  c.insert(0, 7, 1, true);
+  EXPECT_EQ(c.flush_dirty(0).size(), 1u);
+}
+
+TEST(PageCache, FlushIsPerFile) {
+  PageCache c(DiskParams{});
+  c.insert(0, 0, 2, true);
+  c.insert(1, 0, 2, true);
+  c.insert(2, 1, 1, true);
+  const ExtentList one = c.flush_dirty(1);
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_EQ(one[0], (Extent{0, 2 * kPageSize}));
+  EXPECT_TRUE(c.flush_dirty(1).empty());
+  // Flushing file 1 left its neighbours' dirty pages alone.
+  EXPECT_EQ(c.flush_dirty(0).size(), 1u);
+  const ExtentList two = c.flush_dirty(2);
+  ASSERT_EQ(two.size(), 1u);
+  EXPECT_EQ(two[0], (Extent{kPageSize, kPageSize}));
+  EXPECT_EQ(c.pages_cached(), 5u);  // flushing keeps pages cached
+}
+
 }  // namespace
 }  // namespace pvfsib::disk
