@@ -969,11 +969,12 @@ void Client::round_done(std::shared_ptr<OpState> op, u32 iod_idx,
     const IoResult result{op->status, op->failed ? 0 : op->total_bytes,
                           op->start,  op->max_end,
                           op->phases, op->retries, op->failovers};
-    sim::Trace::instance().emitf(
-        result.end, hca_.name(), "%s op complete: %llu B in %s",
-        op->is_write ? "write" : "read",
-        static_cast<unsigned long long>(result.bytes),
-        result.elapsed().to_string().c_str());
+    if (sim::Trace& trace = sim::Trace::instance(); trace.enabled()) {
+      trace.emitf(result.end, hca_.name(), "%s op complete: %llu B in %s",
+                  op->is_write ? "write" : "read",
+                  static_cast<unsigned long long>(result.bytes),
+                  result.elapsed().to_string().c_str());
+    }
     op->done(result);
   }
 }

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <deque>
 #include <string>
+#include <string_view>
 
 #include "common/sim_time.h"
 
@@ -42,7 +43,7 @@ class Trace {
     ring_.push_back(Entry{at, std::move(who), std::move(what)});
   }
 
-  void emitf(TimePoint at, std::string who, const char* fmt, ...)
+  void emitf(TimePoint at, std::string_view who, const char* fmt, ...)
       __attribute__((format(printf, 4, 5))) {
     if (!enabled_) return;
     char buf[256];
@@ -50,7 +51,7 @@ class Trace {
     va_start(ap, fmt);
     std::vsnprintf(buf, sizeof(buf), fmt, ap);
     va_end(ap);
-    emit(at, std::move(who), buf);
+    emit(at, std::string(who), buf);
   }
 
   const std::deque<Entry>& entries() const { return ring_; }
