@@ -12,6 +12,9 @@
 // RDMA operations move actual data and end-to-end tests can verify
 // byte-exact results. A run never moves: pointers and spans into an
 // allocation stay valid until it is freed, whatever is allocated later.
+// Each run is also its own anonymous host mapping, so an allocation costs
+// the host only the pages the simulation writes: an iod's staging pool
+// (4 MiB per client connection) stays non-resident until rounds use it.
 #pragma once
 
 #include <cstring>
