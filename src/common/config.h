@@ -256,10 +256,9 @@ struct FaultConfig {
   // Metadata request to the manager vanishes (client retries with the same
   // backoff policy as data rounds).
   double meta_request_drop_rate = 0.0;
-  // QP-level failures: completion errors surface through
-  // TransferResult.status as kUnavailable; RNR forces receiver-not-ready.
+  // RDMA work requests that complete in error: surfaced through
+  // TransferResult.status as kUnavailable.
   double completion_error_rate = 0.0;
-  double rnr_rate = 0.0;
 
   // Silent-corruption rates, drawn once per applied write round at the iod
   // (independent draws, checked in the order lost < torn < flip so at most
@@ -316,10 +315,9 @@ struct FaultConfig {
   bool enabled() const {
     return request_drop_rate > 0.0 || reply_drop_rate > 0.0 ||
            retransmit_rate > 0.0 || latency_spike_rate > 0.0 ||
-           completion_error_rate > 0.0 || rnr_rate > 0.0 ||
-           meta_request_drop_rate > 0.0 || bit_flip_rate > 0.0 ||
-           torn_write_rate > 0.0 || lost_write_rate > 0.0 ||
-           !disk_degrade.empty() || !schedule.empty();
+           completion_error_rate > 0.0 || meta_request_drop_rate > 0.0 ||
+           bit_flip_rate > 0.0 || torn_write_rate > 0.0 ||
+           lost_write_rate > 0.0 || !disk_degrade.empty() || !schedule.empty();
   }
 };
 
@@ -342,17 +340,17 @@ struct ReplicationParams {
   // --- Version plane (per-stripe versions, read-repair, resync) -----------
   // Every replicated write round carries a monotonically increasing
   // per-stripe version; acks return the version the replica now holds, so
-  // the manager's staleness map knows which replicas are current. The three
-  // knobs below build repair paths on that map. All of it is structurally
-  // absent at factor 1.
+  // the manager's staleness map knows which replicas are current. The
+  // knobs below build on that map. All of it is structurally absent at
+  // factor 1.
   //
-  // Read-repair: a read served by a fresher replica while another replica's
-  // recorded version trails schedules an async repair write of the just-read
-  // data to the stale one (pvfs.read_repairs). Heals content
-  // opportunistically; only write acks and resync mark a replica current in
-  // the staleness map (a repair covers one round's byte range, not
-  // necessarily everything its version covers).
-  bool read_repair = true;
+  // Read-repair is always on: a read served by a fresher replica while
+  // another replica's recorded version trails schedules an async repair
+  // write of the just-read data to the stale one (pvfs.read_repairs). Heals
+  // content opportunistically; only write acks and resync mark a replica
+  // current in the staleness map (a repair covers one round's byte range,
+  // not necessarily everything its version covers).
+
   // When several replicas are current, serve the read from the one with the
   // lowest adaptive-timeout srtt estimate instead of always the primary
   // (first slice of fault-aware scheduling). Off by default so fault-free

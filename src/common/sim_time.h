@@ -110,6 +110,16 @@ constexpr TimePoint max(TimePoint a, TimePoint b) { return a < b ? b : a; }
 constexpr Duration max(Duration a, Duration b) { return a < b ? b : a; }
 constexpr Duration min(Duration a, Duration b) { return a < b ? a : b; }
 
+// Capped exponential backoff: base * mult^steps, clamped to `cap`. The
+// product is built one rounded multiply at a time and stops growing once it
+// reaches the cap, so every retry path sees the same sequence of delays.
+constexpr Duration capped_backoff(Duration base, double mult, Duration cap,
+                                  u32 steps) {
+  Duration d = base;
+  for (u32 i = 0; i < steps && d < cap; ++i) d = d * mult;
+  return min(d, cap);
+}
+
 // Time to move `bytes` at `mib_per_sec` (MiB/s, the paper's "MB/s").
 // Zero or negative bandwidth means "infinitely fast".
 inline Duration transfer_time(u64 bytes, double mib_per_sec) {

@@ -1,6 +1,6 @@
 // Deterministic, schedule-driven fault injector (the fault plane).
 //
-// One Injector per cluster sits below the fabric, the QPs and the iods and
+// One Injector per cluster sits below the fabric and the iods and
 // answers "does this message/transfer/server fail right now?". Decisions
 // come from two sources, both pure functions of the FaultConfig:
 //
@@ -58,10 +58,6 @@ class Injector {
   // Should this RDMA work request complete in error? (Surfaced to the
   // consumer through TransferResult.status as kUnavailable.)
   bool completion_error();
-
-  // --- QP hooks -------------------------------------------------------------
-  // Force a receiver-not-ready failure on a channel send.
-  bool rnr();
 
   // --- PVFS round hooks -----------------------------------------------------
   // Is `iod` crashed (scheduled kIodCrash window) at time `at`?

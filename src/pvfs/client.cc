@@ -630,9 +630,7 @@ RoundRequest Client::round_request(const OpState& op, u32 iod_idx,
   // staging-slot region: the target iod also serves a neighbour stripe's
   // primary chain for this client, and the two must not share local files,
   // staging buffers, or the (client, slot) replay-dedupe log.
-  rr.handle = rep == 0
-                  ? op.file.meta.handle
-                  : backup_handle(op.file.meta.handle, op.stripes[iod_idx]);
+  rr.handle = replica_handle(op.file.meta.handle, op.stripes[iod_idx], rep);
   rr.client = id_;
   rr.slot = rep * op.window + static_cast<u32>(round_idx % op.window);
   rr.round_seq = tr.seq;
@@ -710,7 +708,7 @@ void Client::maybe_read_repair(std::shared_ptr<OpState> op, u32 iod_idx,
     // stale now; drop it eagerly instead of waiting for a hit-time check.
     ccache_.note_version(op->file.meta.handle, stripe, serving_version);
   }
-  if (serving_version == 0 || !cfg_.replication.read_repair) return;
+  if (serving_version == 0) return;
   const Manager::StripeVersionView v =
       authority.stripe_versions(op->file.meta.handle, stripe);
   for (u32 rep = 0; rep < set.size(); ++rep) {
@@ -728,8 +726,7 @@ void Client::schedule_repair_write(std::shared_ptr<OpState> op, u32 iod_idx,
   const Round& r = op->rounds[iod_idx][round_idx];
   const u32 target = op->replica_sets[iod_idx][rep];
   const Handle lh =
-      rep == 0 ? op->file.meta.handle
-               : backup_handle(op->file.meta.handle, op->stripes[iod_idx]);
+      replica_handle(op->file.meta.handle, op->stripes[iod_idx], rep);
   // Snapshot the just-read bytes now: the op's buffers belong to the
   // caller and may be rewritten the moment the read completes. The repair
   // stream is round-shaped (matches r.accesses in order).
@@ -1129,12 +1126,9 @@ void Client::retry_or_fail(std::shared_ptr<OpState> op, u32 iod_idx,
   if (stats_ != nullptr) stats_->add(stat::kPvfsRetries);
   // Exponential backoff, capped: base * mult^(retry - 1), the exponent
   // restarting with the budget at each failover.
-  Duration backoff = fc.backoff_base;
-  for (u32 i = 1; i < tr->attempts - tr->budget_base && backoff < fc.backoff_cap;
-       ++i) {
-    backoff = backoff * fc.backoff_mult;
-  }
-  backoff = min(backoff, fc.backoff_cap);
+  const Duration backoff =
+      capped_backoff(fc.backoff_base, fc.backoff_mult, fc.backoff_cap,
+                     tr->attempts - tr->budget_base - 1);
   ++tr->attempts;
   sim::Trace::instance().emitf(
       t, hca_.name(), "iod%u round %zu retry %u in %s (%s)",

@@ -255,7 +255,6 @@ class Client {
   // The client's process state.
   vmem::AddressSpace& memory() { return as_; }
   ib::Hca& hca() { return hca_; }
-  ib::MrCache& cache() { return cache_; }
   ib::MrCache& mr_cache() { return cache_; }
   core::GroupRegistrar& registrar() { return registrar_; }
   u32 id() const { return id_; }
@@ -444,8 +443,7 @@ class Client {
   // A read round settled OK at `t`, served by the chain's current replica
   // whose stripe header reported `serving_version`: record that with the
   // manager and schedule async repair writes of the round's data to every
-  // chain replica whose recorded version trails (pvfs.read_repairs), when
-  // ReplicationParams::read_repair allows.
+  // chain replica whose recorded version trails (pvfs.read_repairs).
   void maybe_read_repair(std::shared_ptr<OpState> op, u32 iod_idx,
                          size_t round_idx, u64 serving_version, TimePoint t);
   // Gather the round's bytes from client memory now and apply them to

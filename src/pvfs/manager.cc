@@ -335,9 +335,7 @@ void Manager::take_over(const Manager& durable,
   for (const HeaderObservation& obs : headers) {
     mint_floor_ = std::max(mint_floor_, obs.version);
     if (obs.version == 0) continue;
-    const bool backup = (obs.local_handle >> 63) != 0;
-    const Handle h =
-        backup ? (obs.local_handle & ((Handle{1} << 48) - 1)) : obs.local_handle;
+    const Handle h = file_handle_of(obs.local_handle);
     const FileMeta* meta = meta_of(h);
     if (meta == nullptr || meta->replication_factor <= 1) continue;
     for (u32 k = 0; k < meta->replicas.size(); ++k) {
@@ -348,7 +346,7 @@ void Manager::take_over(const Manager& durable,
       const std::vector<u32>& set = meta->replicas[k];
       for (size_t j = 0; j < set.size(); ++j) {
         if (set[j] != obs.iod_id) continue;
-        const Handle key = j == 0 ? h : backup_handle(h, k);
+        const Handle key = replica_handle(h, k, j);
         if (key != obs.local_handle) continue;
         StripeState& st = stripe_state_[{h, k}];
         if (st.replica.empty()) st.replica.resize(set.size(), 0);
@@ -547,9 +545,7 @@ void Manager::note_replica_resynced(Handle h, u32 stripe, u32 iod_id,
 std::vector<Manager::LocalStripeView> Manager::local_stripes(
     Handle local_handle, u32 iod_id) const {
   std::vector<LocalStripeView> out;
-  const bool backup = (local_handle >> 63) != 0;
-  const Handle h =
-      backup ? (local_handle & ((Handle{1} << 48) - 1)) : local_handle;
+  const Handle h = file_handle_of(local_handle);
   const FileMeta* meta = meta_of(h);
   if (meta == nullptr || meta->replication_factor <= 1) return out;
   for (u32 k = 0; k < meta->replicas.size(); ++k) {
@@ -559,7 +555,7 @@ std::vector<Manager::LocalStripeView> Manager::local_stripes(
       // Same key-matching rule as the takeover header scan: a backup
       // header names its stripe in the shadow handle; a primary local file
       // is shared by every stripe primaried on the iod.
-      const Handle key = j == 0 ? h : backup_handle(h, k);
+      const Handle key = replica_handle(h, k, j);
       if (key != local_handle) continue;
       LocalStripeView v;
       v.handle = h;
@@ -603,11 +599,11 @@ std::vector<Manager::ResyncTarget> Manager::resync_targets(u32 iod) const {
     t.handle = h;
     t.stripe = stripe;
     t.latest = st.latest;
-    t.local_handle = pos == 0 ? h : backup_handle(h, stripe);
+    t.local_handle = replica_handle(h, stripe, pos);
     for (size_t j = 0; j < set.size() && j < st.replica.size(); ++j) {
       if (j != pos && !flagged(j) && st.replica[j] >= st.latest) {
         t.peers.push_back(set[j]);
-        t.peer_handles.push_back(j == 0 ? h : backup_handle(h, stripe));
+        t.peer_handles.push_back(replica_handle(h, stripe, j));
       }
     }
     if (!t.peers.empty()) out.push_back(std::move(t));

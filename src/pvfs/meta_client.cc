@@ -101,12 +101,8 @@ MetaClient::Outcome MetaClient::call(const MetaRequest& rq, TimePoint issue) {
       if (stats_ != nullptr) stats_->add(stat::kPvfsShardRedirects);
       TimePoint noticed = issue + r.cost;
       if (refreshes > 0) {
-        Duration backoff = mig_.map_refresh_backoff;
-        for (u32 i = 1; i < refreshes && backoff < mig_.map_refresh_backoff_cap;
-             ++i) {
-          backoff = backoff * 2.0;
-        }
-        noticed = noticed + min(backoff, mig_.map_refresh_backoff_cap);
+        noticed += capped_backoff(mig_.map_refresh_backoff, 2.0,
+                                  mig_.map_refresh_backoff_cap, refreshes - 1);
       }
       const u64 stale_version = version_;
       refresh_map();
@@ -139,11 +135,8 @@ MetaClient::Outcome MetaClient::call(const MetaRequest& rq, TimePoint issue) {
     }
     CachedShard& cs = shards_[shard];
     if (stats_ != nullptr) stats_->add(stat::kPvfsMetaRetries);
-    Duration backoff = fc.backoff_base;
-    for (u32 i = 1; i <= retries && backoff < fc.backoff_cap; ++i) {
-      backoff = backoff * fc.backoff_mult;
-    }
-    backoff = min(backoff, fc.backoff_cap);
+    const Duration backoff = capped_backoff(fc.backoff_base, fc.backoff_mult,
+                                            fc.backoff_cap, retries);
     ++retries;
     // A lost request is only noticed when the timeout fires; a redirect is
     // a real (fast) reply.

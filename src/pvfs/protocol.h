@@ -62,6 +62,19 @@ inline Handle backup_handle(Handle h, u32 stripe) {
   return (Handle{1} << 63) | (static_cast<Handle>(stripe) << 48) | h;
 }
 
+// The file handle a local-file key belongs to: the inverse of
+// backup_handle, and the identity on a file handle.
+inline Handle file_handle_of(Handle local) {
+  return (local >> 63) != 0 ? (local & ((Handle{1} << 48) - 1)) : local;
+}
+
+// Local-file key of replica position `pos` of stripe `stripe`: the
+// primary (position 0) stores under the file handle, backups under the
+// stripe's shadow handle.
+inline Handle replica_handle(Handle h, u32 stripe, size_t pos) {
+  return pos == 0 ? h : backup_handle(h, stripe);
+}
+
 // --- Metadata sharding ------------------------------------------------------
 // The namespace and the version plane are hash-partitioned over
 // `metadata_shards` active managers. Names route by FNV-1a; handles route
@@ -82,10 +95,9 @@ inline u32 shard_of(std::string_view name, u32 shard_count) {
 
 inline u32 shard_of_handle(Handle h, u32 shard_count) {
   if (shard_count <= 1) return 0;
-  // Backup copies live under per-stripe shadow handles (top bit set); the
-  // version plane still belongs to the file handle's shard.
-  const Handle raw = (h >> 63) != 0 ? (h & ((Handle{1} << 48) - 1)) : h;
-  return static_cast<u32>((raw - 1) % shard_count);
+  // Backup copies live under per-stripe shadow handles; the version plane
+  // still belongs to the file handle's shard.
+  return static_cast<u32>((file_handle_of(h) - 1) % shard_count);
 }
 
 // Live resharding grows the plane K -> 2K (Cluster::split_shards) because

@@ -49,6 +49,9 @@ TEST(ShardRouting, HandleShardMatchesMintingManagerAndDecodesShadows) {
         // A backup stripe's shadow handle belongs to the same shard as the
         // file it shadows (stripe headers and resync notes route by it).
         EXPECT_EQ(shard_of_handle(backup_handle(h, 2), n), s);
+        // file_handle_of inverts backup_handle and keeps a file handle.
+        EXPECT_EQ(file_handle_of(backup_handle(h, k)), h);
+        EXPECT_EQ(file_handle_of(h), h);
       }
     }
   }
